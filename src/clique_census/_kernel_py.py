@@ -14,15 +14,17 @@ def backend_name() -> str:
     return "pure"
 
 
-def census_of_subset(bits: tuple[int, ...], start_mask: int, n: int) -> list[int]:
+def census_of_subset(bits: tuple[int, ...], start_mask: int) -> list[int]:
     """Per-depth node counts for the subtree rooted at the given candidate set.
 
     counts[d] is the number of nodes at depth d; counts[0] == 1 for the root.
-    Trailing zero entries are trimmed.
+    Trailing zero entries are trimmed. Each level drops at least the chosen
+    vertex, so the depth is at most the size of the candidate set.
     """
-    counts = [0] * (n + 2)
+    size = start_mask.bit_count()
+    counts = [0] * (size + 2)
     counts[0] = 1
-    levels = [0] * (n + 2)
+    levels = [0] * (size + 2)
     levels[0] = start_mask
     d = 0
     while d >= 0:
@@ -31,7 +33,7 @@ def census_of_subset(bits: tuple[int, ...], start_mask: int, n: int) -> list[int
             d -= 1
             continue
         best_v = -1
-        best_deg = n + 1
+        best_deg = size + 1
         m = cur
         while m:
             low = m & -m

@@ -155,6 +155,16 @@ class Skeleton:
     def size(self) -> int:
         return len(self.subtree.included)
 
+    @property
+    def hanging_count(self) -> int:
+        """Children of skeleton nodes that lie outside the skeleton.
+
+        Each roots one hanging subtree, and every tree node outside the
+        skeleton lies in exactly one of them.
+        """
+        sub = self.subtree
+        return sum(len(sub.excluded_children(sub.node(idx))) for idx in sub.included)
+
 
 def _to_mpf(value):
     if isinstance(value, Fraction):
@@ -246,12 +256,15 @@ def audit_dense_window(
     oracle_limit: int = DEFAULT_SUBDIVISION_LIMIT,
     node_cap: int = DEFAULT_NODE_CAP,
     label: str = "window",
+    window_count: int | None = None,
 ) -> list[AuditCheck]:
     """The four dense-window conditions for a window graph.
 
-    On a failed condition with assume_subdivision_free set, the failure
-    is annotated as a contrapositive subdivision claim and, when the
-    window fits the oracle, confirmed by extracting a witness.
+    window_count is the window's clique count when the caller already has
+    it; None counts it here.  On a failed condition with
+    assume_subdivision_free set, the failure is annotated as a
+    contrapositive subdivision claim and, when the window fits the
+    oracle, confirmed by extracting a witness.
     """
     m = g.n
     checks = []
@@ -275,7 +288,8 @@ def audit_dense_window(
             anchor="window size <= max(20t/11, t^2/5)",
         )
     )
-    window_count = count_cliques(g)
+    if window_count is None:
+        window_count = count_cliques(g)
     checks.append(
         AuditCheck(
             name=f"{label}-clique-count",
@@ -306,6 +320,7 @@ def audit_dense_window(
             for node in window_tree.nodes:
                 if node.depth == depth:
                     worst = max(worst, node.label_size)
+            window_tree.discard()
             checks.append(
                 AuditCheck(
                     name=f"{label}-truncation",
@@ -401,6 +416,7 @@ def audit_boundary_cases(
                 oracle_limit=cfg.oracle_limit,
                 node_cap=cfg.node_cap,
                 label=f"window@{node.index}",
+                window_count=window_count,
             )
         )
         # children preceding the window fell below the small threshold
@@ -439,12 +455,17 @@ def audit_boundary_cases(
 def audit_total(
     tree_size: int,
     skeleton_size: int,
+    hanging_count: int,
     cfg: AuditConfig,
     n: int,
     window_tree_sizes: list[int],
     have_fallback_nodes: bool,
 ) -> list[AuditCheck]:
-    """The product bound through the skeleton, then the headline bound."""
+    """The bound through the skeleton, then the headline bound.
+
+    The tree is the skeleton plus hanging_count hanging subtrees, each
+    bounded by the largest hanging-subtree bound M.
+    """
     t = cfg.t
     checks = []
     with mp.workdps(AUDIT_DPS):
@@ -453,15 +474,15 @@ def audit_total(
             hanging = max(hanging, mp.mpf(size))
         if have_fallback_nodes:
             hanging = max(hanging, _sqrt10t_pow(t))
-        rhs = mp.mpf(skeleton_size) * hanging
+        rhs = skeleton_size + hanging_count * hanging
         checks.append(
             AuditCheck(
                 name="total-product",
                 lhs=tree_size,
                 rhs=rhs,
                 holds=mp.mpf(tree_size) <= rhs,
-                anchor="tree size <= skeleton size * max hanging subtree "
-                "bound",
+                anchor="tree size <= skeleton size + hanging subtrees * "
+                "max hanging subtree bound",
             )
         )
     checks.append(_headline_check(tree_size, t, n))
@@ -514,7 +535,7 @@ def check_binom_sum_inequality(m: int, k) -> AuditCheck:
 def audit_graph(g: Graph, cfg: AuditConfig) -> AuditReport:
     """Run the full audit pipeline on one graph."""
     t = cfg.t
-    report = AuditReport(config=cfg, n=g.n, edge_count=len(g.edges()))
+    report = AuditReport(config=cfg, n=g.n, edge_count=g.edge_count)
     count = count_cliques(g)
     d = degeneracy(g).d
 
@@ -602,23 +623,27 @@ def audit_graph(g: Graph, cfg: AuditConfig) -> AuditReport:
         report.checks.append(_degenerate_check(count, d, g.n))
         return report
 
-    skeleton = build_skeleton(tree, t)
-    report.checks.extend(audit_skeleton_size(skeleton, t, g.n))
-    cases, checks, window_sizes, have_fallback = audit_boundary_cases(
-        tree, skeleton, cfg, g
-    )
-    report.boundary_cases.extend(cases)
-    report.checks.extend(checks)
-    report.checks.extend(
-        audit_total(
-            tree.node_count,
-            skeleton.size,
-            cfg,
-            g.n,
-            window_sizes,
-            have_fallback,
+    try:
+        skeleton = build_skeleton(tree, t)
+        report.checks.extend(audit_skeleton_size(skeleton, t, g.n))
+        cases, checks, window_sizes, have_fallback = audit_boundary_cases(
+            tree, skeleton, cfg, g
         )
-    )
+        report.boundary_cases.extend(cases)
+        report.checks.extend(checks)
+        report.checks.extend(
+            audit_total(
+                tree.node_count,
+                skeleton.size,
+                skeleton.hanging_count,
+                cfg,
+                g.n,
+                window_sizes,
+                have_fallback,
+            )
+        )
+    finally:
+        tree.discard()
     report.checks.append(_degenerate_check(count, d, g.n))
     return report
 

@@ -26,24 +26,31 @@ def available_backends() -> tuple[str, ...]:
 def default_backend() -> str:
     forced = os.environ.get("CLIQUE_CENSUS_BACKEND", "").strip().lower()
     if forced:
-        if forced not in ("compiled", "pure"):
-            raise ValueError(f"unknown backend {forced!r}")
-        if forced == "compiled" and _kernel is None:
-            raise ValueError("compiled backend requested but not built")
-        return forced
+        return resolve_backend(forced)
     return "compiled" if _kernel is not None else "pure"
+
+
+def resolve_backend(backend: str | None) -> str:
+    """The backend a request selects; None means the default."""
+    if backend is None:
+        return default_backend()
+    if backend not in ("compiled", "pure"):
+        raise ValueError(f"unknown backend {backend!r}")
+    if backend == "compiled" and _kernel is None:
+        raise ValueError("compiled backend requested but not built")
+    return backend
+
+
+def releases_gil(backend: str) -> bool:
+    """Whether the backend's kernel runs without the interpreter lock, so
+    that jobs on several threads actually overlap."""
+    return backend == "compiled"
 
 
 def census_of_subset(g, start_mask: int, backend: str | None = None) -> list[int]:
     """Per-depth clique-tree node counts below the given candidate set of g."""
-    if backend is None:
-        backend = default_backend()
-    if backend == "pure":
-        return _kernel_py.census_of_subset(g.bits, start_mask, g.n)
-    if backend != "compiled":
-        raise ValueError(f"unknown backend {backend!r}")
-    if _kernel is None:
-        raise ValueError("compiled backend requested but not built")
+    if resolve_backend(backend) == "pure":
+        return _kernel_py.census_of_subset(g.bits, start_mask)
     if g.n == 0:
         return [1]
     w, adj = g.packed_words()

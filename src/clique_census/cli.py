@@ -12,7 +12,9 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
+from typing import Iterator, TextIO
 
 from .audit import (
     AuditConfig,
@@ -256,14 +258,21 @@ def _config_dict(args, extra: dict | None = None) -> dict:
     return cfg
 
 
+@contextmanager
+def _output(args) -> Iterator[TextIO]:
+    """The --output file, or standard output (left open) without one."""
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            yield fh
+    else:
+        yield sys.stdout
+
+
 def _emit(args, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(args) as out:
+        out.write(text)
 
 
 def _emit_json(args, payload: dict) -> None:
@@ -302,11 +311,14 @@ def _cmd_census(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     g, _ = _resolve_graph(args)
-    cliques = [sorted(c) for c in enumerate_cliques(g)]
     if args.format == "json":
+        cliques = [sorted(c) for c in enumerate_cliques(g)]
         _emit_json(args, {"config": _config_dict(args), "cliques": cliques})
-    else:
-        _emit(args, "\n".join(" ".join(map(str, c)) for c in cliques))
+        return EXIT_OK
+    # streamed one line per clique, so memory stays at the tree's depth
+    with _output(args) as out:
+        for c in enumerate_cliques(g):
+            out.write(" ".join(map(str, sorted(c))) + "\n")
     return EXIT_OK
 
 

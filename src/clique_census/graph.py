@@ -9,6 +9,7 @@ min-degree tie-breaking consistent between a graph and its subgraphs.
 
 from __future__ import annotations
 
+import heapq
 from array import array
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -152,14 +153,20 @@ def parse_dimacs(text: str) -> Graph:
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] not in ("edge", "edges", "col"):
                 raise GraphParseError(f"bad problem line {line!r}", line_no)
-            n = int(parts[2])
+            try:
+                n = int(parts[2])
+            except ValueError:
+                raise GraphParseError(f"bad problem line {line!r}", line_no)
             continue
         if parts[0] == "e":
             if n is None:
                 raise GraphParseError("edge line before problem line", line_no)
             if len(parts) != 3:
                 raise GraphParseError(f"bad edge line {line!r}", line_no)
-            u, v = int(parts[1]) - 1, int(parts[2]) - 1
+            try:
+                u, v = int(parts[1]) - 1, int(parts[2]) - 1
+            except ValueError:
+                raise GraphParseError(f"bad edge line {line!r}", line_no)
             if u == v:
                 raise GraphParseError(f"self-loop at vertex {u + 1}", line_no)
             if not (0 <= u < n and 0 <= v < n):
@@ -195,6 +202,16 @@ def serialize(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def mask_vertices(mask: int) -> list[int]:
+    """The vertex ids whose bits are set in mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Induced subgraph on the given vertex set, relabelled to 0..k-1.
 
@@ -207,11 +224,14 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} out of range")
     old_to_new = {old: new for new, old in enumerate(new_to_old)}
+    keep = frozenset(new_to_old)
     edges = []
     for new_u, old_u in enumerate(new_to_old):
-        for old_v in g.adj[old_u]:
-            new_v = old_to_new.get(old_v)
-            if new_v is not None and new_u < new_v:
+        # the intersection walks the smaller side, so a high-degree vertex
+        # costs only the size of the kept set
+        for old_v in g.adj[old_u] & keep:
+            new_v = old_to_new[old_v]
+            if new_u < new_v:
                 edges.append((new_u, new_v))
     return Graph(len(new_to_old), edges), new_to_old
 
@@ -259,17 +279,31 @@ def degeneracy(g: Graph) -> DegeneracyResult:
     The returned d is the maximum, over the peeling, of the degree the
     removed vertex had at removal time. Every suffix of the ordering induces
     a subgraph whose first listed vertex has degree at most d.
+
+    Peels in O(m log n) with a lazy-deletion heap keyed (degree, id), as in
+    Matula and Beck's smallest-last ordering: a vertex's stale entries carry
+    a higher degree than its live one, so they pop only after the vertex
+    is removed, and are skipped.
     """
+    n = g.n
+    deg = [len(a) for a in g.adj]
+    heap = [deg[v] * n + v for v in range(n)]  # key (degree, id) as one int
+    heapq.heapify(heap)
+    removed = bytearray(n)
     order = []
-    mask = g.full_mask()
     d = 0
-    while mask:
-        v = min_degree_vertex(g, mask)
-        deg = (g.bits[v] & mask).bit_count()
-        if deg > d:
-            d = deg
+    while heap:
+        k, v = divmod(heapq.heappop(heap), n)
+        if removed[v]:
+            continue
+        removed[v] = 1
         order.append(v)
-        mask ^= 1 << v
+        if k > d:
+            d = k
+        for u in g.adj[v]:
+            if not removed[u]:
+                deg[u] -= 1
+                heapq.heappush(heap, deg[u] * n + u)
     return DegeneracyResult(d, tuple(order))
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import OracleLimitError
-from .graph import Graph
+from .graph import Graph, mask_vertices
 
 DEFAULT_EXHAUSTIVE_LIMIT = 22
 
@@ -99,7 +99,7 @@ def check_local_sparsity(
                 continue
             if not _has_low_degree_vertex(g, mask, size, beta):
                 return SparsityCertificate(
-                    "violated", "exhaustive", params, _mask_to_set(mask)
+                    "violated", "exhaustive", params, frozenset(mask_vertices(mask))
                 )
         return SparsityCertificate("sparse", "exhaustive", params)
     if mode == "peeling":
@@ -120,20 +120,11 @@ def check_local_sparsity(
                 m ^= low
             if best_deg * q > p * size:
                 return SparsityCertificate(
-                    "violated", "peeling", params, _mask_to_set(mask)
+                    "violated", "peeling", params, frozenset(mask_vertices(mask))
                 )
             mask ^= 1 << best_v
         return SparsityCertificate("unknown", "peeling", params)
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def _mask_to_set(mask: int) -> frozenset[int]:
-    out = set()
-    while mask:
-        low = mask & -mask
-        out.add(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def lemma_sparsity_params(m: int, t: int) -> SparsityParams:

@@ -312,15 +312,6 @@ def has_minor(g: Graph, t: int, oracle_limit: int = DEFAULT_MINOR_LIMIT):
     )
 
 
-def _mask_to_vertices(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        out.append(low.bit_length() - 1)
-    return tuple(out)
-
-
 def extract_subdivision_dense(g: Graph, t: int) -> SubdivisionWitness:
     """Constructive subdivision extraction for dense near-regular graphs.
 

@@ -7,13 +7,20 @@ of the subgraph induced on the current L (smallest id on ties), attaching a
 child labelled L intersect N(v), and then removing v from L. The clique at
 a node is the set of chosen vertices along its root path.
 
-Counting and census run streaming through the selected kernel backend and
-never materialize nodes; build_tree materializes the node structure for
-inspection, subject to a node cap.
+The root's choice sequence is exactly the min-degree peeling order of
+degeneracy(g), so the root is split once, in O(m log n): root child v has
+the label L_v of v's neighbours later in the peel, |L_v| <= d, and its
+subtree is the tree of G[L_v] with ids relabelled in order. Everything
+below the root costs time in the size of a local subproblem, not in n.
+
+Counting and census run streaming through the selected kernel backend, one
+job per root child, and never materialize nodes; build_tree materializes
+the node structure for inspection, subject to a node cap.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
@@ -21,7 +28,13 @@ from typing import Iterator, NamedTuple
 
 from . import backend as _backend
 from .errors import CapacityError
-from .graph import Graph, degeneracy, min_degree_vertex
+from .graph import (
+    Graph,
+    degeneracy,
+    induced_subgraph,
+    mask_vertices,
+    min_degree_vertex,
+)
 
 DEFAULT_NODE_CAP = 10_000_000
 
@@ -43,13 +56,7 @@ class CliqueTreeNode:
 
     @property
     def label(self) -> frozenset[int]:
-        out = set()
-        m = self.label_bits
-        while m:
-            low = m & -m
-            out.add(low.bit_length() - 1)
-            m ^= low
-        return frozenset(out)
+        return frozenset(mask_vertices(self.label_bits))
 
     def clique(self) -> frozenset[int]:
         """Chosen vertices along the path from the root to this node."""
@@ -105,6 +112,30 @@ class CliqueSearchTree:
         i = node.index - self.root.index
         return 0 <= i < len(self.nodes) and self.nodes[i] is node
 
+    def discard(self) -> None:
+        """Empty every node's child list; the tree is unusable afterwards.
+
+        Parent and child links form reference cycles, which only a full
+        pass of the cyclic garbage collector reclaims. Breaking them lets
+        the nodes go as soon as the last reference to the tree does, so
+        a caller done with a large tree gets its memory back at once.
+        Views from subtree_at share nodes and are emptied too.
+        """
+        for node in self.nodes:
+            node.children.clear()
+
+
+def _root_children(g: Graph) -> Iterator[tuple[int, int]]:
+    """Yield (v, label of v's root child) in the root's child order.
+
+    The label is the mask of v's neighbours later in the peel. Children
+    are streamed, so no list of all n labels is ever held.
+    """
+    remaining = g.full_mask()
+    for v in degeneracy(g).ordering:
+        yield v, g.bits[v] & remaining
+        remaining ^= 1 << v
+
 
 def build_tree(g: Graph, node_cap: int = DEFAULT_NODE_CAP) -> CliqueSearchTree:
     """Materialize the clique search tree of g, in depth-first creation order.
@@ -115,22 +146,29 @@ def build_tree(g: Graph, node_cap: int = DEFAULT_NODE_CAP) -> CliqueSearchTree:
     """
     root = CliqueTreeNode(g.full_mask(), 0, None, None, 0)
     nodes = [root]
-    stack: list[tuple[CliqueTreeNode, int]] = [(root, root.label_bits)]
-    while stack:
-        node, remaining = stack.pop()
-        if remaining == 0:
-            continue
-        v = min_degree_vertex(g, remaining)
-        child_bits = remaining & g.bits[v]
+
+    def attach(parent: CliqueTreeNode, v: int, child_bits: int) -> CliqueTreeNode:
         if len(nodes) >= node_cap:
+            CliqueSearchTree(g, root, nodes).discard()
             raise CapacityError(
                 f"clique tree exceeds node cap {node_cap}", partial_count=len(nodes)
             )
-        child = CliqueTreeNode(child_bits, node.depth + 1, v, node, len(nodes))
-        node.children.append(child)
+        child = CliqueTreeNode(child_bits, parent.depth + 1, v, parent, len(nodes))
+        parent.children.append(child)
         nodes.append(child)
-        stack.append((node, remaining ^ (1 << v)))
-        stack.append((child, child_bits))
+        return child
+
+    for v, label in _root_children(g):
+        top = attach(root, v, label)
+        stack: list[tuple[CliqueTreeNode, int]] = [(top, label)]
+        while stack:
+            node, remaining = stack.pop()
+            if remaining == 0:
+                continue
+            v = min_degree_vertex(g, remaining)
+            child = attach(node, v, remaining & g.bits[v])
+            stack.append((node, remaining ^ (1 << v)))
+            stack.append((child, child.label_bits))
     return CliqueSearchTree(g, root, nodes)
 
 
@@ -152,29 +190,29 @@ class CliqueCensus:
         return [str(c) for c in self.counts]
 
 
-def _root_split_counts(g: Graph, threads: int, backend: str | None) -> list[int]:
-    # The root's choice sequence is exactly the degeneracy peeling order, so
-    # the children's subtrees are independent jobs.
-    order = degeneracy(g).ordering
-    jobs = []
-    mask = g.full_mask()
-    for v in order:
-        jobs.append(g.bits[v] & mask)
-        mask ^= 1 << v
+def _local_census(g: Graph, label: int, backend: str) -> list[int]:
+    # the subtree below a root child is the tree of the child's label,
+    # relabelled in order so that tie-breaking is unchanged
+    local, _ = induced_subgraph(g, mask_vertices(label))
+    return _backend.census_of_subset(local, local.full_mask(), backend)
+
+
+def _child_censuses(g: Graph, threads: int, backend: str) -> Iterator[list[int]]:
+    """The census of each root child's subtree, in root-child order."""
+    jobs = _root_children(g)
+    if threads <= 1 or not _backend.releases_gil(backend):
+        for _, label in jobs:
+            yield _local_census(g, label, backend)
+        return
+    # at most a few jobs in flight per thread, never one future per child
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(
-            lambda child_mask: _backend.census_of_subset(g, child_mask, backend),
-            jobs,
-        ))
-    counts = [1]
-    for res in results:
-        for d, c in enumerate(res):
-            while len(counts) <= d + 1:
-                counts.append(0)
-            counts[d + 1] += c
-    while len(counts) > 1 and counts[-1] == 0:
-        counts.pop()
-    return counts
+        pending: deque = deque()
+        for _, label in jobs:
+            pending.append(pool.submit(_local_census, g, label, backend))
+            if len(pending) >= 4 * threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def census(g: Graph, threads: int = 1, backend: str | None = None) -> CliqueCensus:
@@ -182,13 +220,19 @@ def census(g: Graph, threads: int = 1, backend: str | None = None) -> CliqueCens
 
     Depth-k tree nodes are exactly the k-cliques, so the per-depth node
     counts of the traversal are the census. The list is trimmed after the
-    last nonzero entry. threads > 1 splits the traversal at the root; with
-    the compiled backend the split runs in parallel.
+    last nonzero entry. The traversal is always split at the root, one
+    kernel job per root child on its local graph of at most d vertices.
+    With threads > 1 the jobs run on a thread pool only when the backend
+    releases the interpreter lock (the compiled one); the pure kernel
+    holds it, so its jobs run one after another whatever threads says.
     """
-    if threads > 1 and g.n > 1:
-        counts = _root_split_counts(g, threads, backend)
-    else:
-        counts = _backend.census_of_subset(g, g.full_mask(), backend)
+    backend = _backend.resolve_backend(backend)
+    counts = [1]
+    for res in _child_censuses(g, threads, backend):
+        if len(counts) <= len(res):
+            counts.extend([0] * (len(res) + 1 - len(counts)))
+        for d, c in enumerate(res, start=1):
+            counts[d] += c
     return CliqueCensus(tuple(counts))
 
 
@@ -204,18 +248,19 @@ def enumerate_cliques(g: Graph) -> Iterator[frozenset[int]]:
     the tree, not to the clique count.
     """
     yield frozenset()
-    stack: list[tuple[int, tuple[int, ...]]] = [(g.full_mask(), ())]
-    while stack:
-        remaining, chosen = stack.pop()
-        if remaining == 0:
-            continue
-        v = min_degree_vertex(g, remaining)
-        child_bits = remaining & g.bits[v]
-        clique = chosen + (v,)
-        stack.append((remaining ^ (1 << v), chosen))
-        yield frozenset(clique)
-        stack.append((child_bits, clique))
-    return
+    for v, label in _root_children(g):
+        yield frozenset((v,))
+        stack: list[tuple[int, tuple[int, ...]]] = [(label, (v,))]
+        while stack:
+            remaining, chosen = stack.pop()
+            if remaining == 0:
+                continue
+            v = min_degree_vertex(g, remaining)
+            child_bits = remaining & g.bits[v]
+            clique = chosen + (v,)
+            stack.append((remaining ^ (1 << v), chosen))
+            yield frozenset(clique)
+            stack.append((child_bits, clique))
 
 
 def subtree_at(tree: CliqueSearchTree, node: CliqueTreeNode) -> CliqueSearchTree:
@@ -308,11 +353,8 @@ def trees_isomorphic(a: CliqueSearchTree, b: CliqueSearchTree,
         if vertex_map is None:
             return bits
         out = 0
-        m = bits
-        while m:
-            low = m & -m
-            out |= 1 << vertex_map[low.bit_length() - 1]
-            m ^= low
+        for v in mask_vertices(bits):
+            out |= 1 << vertex_map[v]
         return out
 
     stack = [(a.root, b.root)]

@@ -41,6 +41,44 @@ def brute_count(g) -> int:
     return sum(brute_census(g))
 
 
+def extension_census(g) -> list[int]:
+    """Per-size clique counts by growing each clique with larger ids.
+
+    Every clique is reached once, as an increasing id sequence, so the
+    cost is about n per clique: usable on sparse graphs far beyond the
+    reach of the 2^n subset DP. Trailing zeros trimmed.
+    """
+    nbr = adjacency_masks(g)
+    counts = [1]
+    stack = [(0, (1 << g.n) - 1)]  # (clique size, common neighbours above it)
+    while stack:
+        size, cand = stack.pop()
+        while cand:
+            low = cand & -cand
+            v = low.bit_length() - 1
+            cand ^= low
+            if len(counts) <= size + 1:
+                counts.append(0)
+            counts[size + 1] += 1
+            stack.append((size + 1, cand & nbr[v]))
+    return counts
+
+
+def naive_degeneracy(g) -> tuple[int, tuple[int, ...]]:
+    """(d, ordering) by repeatedly removing a minimum-degree vertex,
+    smallest id on ties, rescanning every remaining vertex each step."""
+    nbr = adjacency_masks(g)
+    remaining = set(range(g.n))
+    order = []
+    d = 0
+    while remaining:
+        v = min(remaining, key=lambda u: (sum(1 for w in remaining if nbr[u] >> w & 1), u))
+        d = max(d, sum(1 for w in remaining if nbr[v] >> w & 1))
+        order.append(v)
+        remaining.remove(v)
+    return d, tuple(order)
+
+
 def brute_cliques(g) -> set[frozenset]:
     """Every clique as a frozenset, by filtering all subsets."""
     nbr = adjacency_masks(g)

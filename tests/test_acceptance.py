@@ -14,7 +14,7 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import log2
+from math import comb, log2
 
 from clique_census import (
     AuditConfig,
@@ -86,6 +86,21 @@ def test_path_power_counts_closed_form():
         k = t - 2
         assert count_cliques(path_power(n, k)) == 2**k * (n - t + 3)
     assert time.perf_counter() - start < 5.0
+
+
+def test_path_power_census_is_linear_in_n():
+    # a j-clique of the k-th path power is a smallest vertex i plus j - 1
+    # of the next min(k, n - 1 - i) vertices; the root split keeps this
+    # census linear in n where an O(n^2) root scan would not finish in time
+    start = time.perf_counter()
+    n, k = 10000, 6
+    ours = census(path_power(n, k))
+    expected = [1] + [
+        sum(comb(min(k, n - 1 - i), j - 1) for i in range(n)) for j in range(1, k + 2)
+    ]
+    assert list(ours.counts) == expected
+    assert ours.total == 2**k * (n - k + 1)
+    assert time.perf_counter() - start < 20.0
 
 
 def test_multipartite_counts_closed_form():

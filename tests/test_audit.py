@@ -175,11 +175,21 @@ def test_audit_k13_fails_honestly():
     assert "contrapositive" in named["window@0-size"].note
     assert named["window@0-oracle"].holds
     assert named["total-product"].lhs == 8192
-    assert named["total-product"].margin == 0
+    # rhs = skeleton size 1 + 13 hanging subtrees * window tree size 8192
+    assert named["total-product"].margin == 1 + 13 * 8192 - 8192
     case = report.boundary_cases[0]
     assert case.case == "dense_window"
     assert case.window_size == 13
     assert case.window_tree_size == 8192
+
+
+def test_total_product_counts_every_hanging_subtree():
+    # treewidth 2, so no K_4-subdivision: every bound must hold; the root
+    # is the whole skeleton and hangs 2000 subtrees
+    report = audit_graph(path_power(2000, 2), AuditConfig(t=4))
+    assert report.all_hold
+    named = checks_by_name(report)
+    assert named["total-product"].lhs == 7996
 
 
 def test_audit_k13_default_mode_notes_subdivision():

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
+from clique_census import backend as backend_module
 from clique_census import (
     available_backends,
     census,
@@ -11,8 +12,8 @@ from clique_census import (
     default_backend,
 )
 
-from brute import brute_census
-from strategies import graphs
+from brute import brute_census, extension_census
+from strategies import graphs, word_edge_graphs
 
 
 def test_backend_listing():
@@ -50,8 +51,20 @@ def test_census_of_subset_restricts(g):
         assert census_of_subset(g, 0, name) == [1]
 
 
+def test_thread_pool_path_agrees(monkeypatch):
+    # the pure kernel holds the interpreter lock, so census runs its jobs
+    # serially; pretend it does not, to drive the bounded pool with it
+    monkeypatch.setattr(backend_module, "releases_gil", lambda name: True)
+    for g in word_edge_graphs(129):
+        expected = extension_census(g)
+        for threads in (2, 3):
+            assert list(census(g, threads=threads, backend="pure").counts) == expected
+
+
 def test_unknown_backend_rejected():
     from clique_census import Graph
 
     with pytest.raises(ValueError):
         census(Graph(2, [(0, 1)]), backend="nosuch")
+    with pytest.raises(ValueError):
+        census(Graph(0, []), backend="nosuch")

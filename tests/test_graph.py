@@ -18,7 +18,8 @@ from clique_census import (
 )
 from clique_census.graph import load_graph
 
-from strategies import graphs
+from brute import naive_degeneracy
+from strategies import WORD_EDGE_SIZES, graphs, word_edge_graphs
 
 
 def test_parse_path():
@@ -72,6 +73,16 @@ def test_parse_dimacs():
 def test_parse_dimacs_rejects(text):
     with pytest.raises(GraphParseError):
         parse_dimacs(text)
+
+
+@pytest.mark.parametrize(
+    "text, line_no", [("c comment\np edge x 3", 2), ("p edge 3 1\ne 1 y", 2)]
+)
+def test_parse_dimacs_non_integer_fields(text, line_no):
+    with pytest.raises(GraphParseError) as info:
+        parse_dimacs(text)
+    assert info.value.line_no == line_no
+    assert str(info.value).startswith(f"line {line_no}:")
 
 
 def test_load_graph_dispatch(tmp_path):
@@ -161,6 +172,17 @@ def test_degeneracy_suffix_property(g):
         assert len(g.adj[v] & suffix) <= d
     if g.n:
         assert d <= max(len(g.adj[v]) for v in range(g.n))
+
+
+@given(graphs(max_n=14))
+def test_degeneracy_matches_naive_peel(g):
+    assert tuple(degeneracy(g)) == naive_degeneracy(g)
+
+
+@pytest.mark.parametrize("n", WORD_EDGE_SIZES)
+def test_degeneracy_matches_naive_peel_at_word_edges(n):
+    for g in word_edge_graphs(n):
+        assert tuple(degeneracy(g)) == naive_degeneracy(g)
 
 
 def test_average_degree():

@@ -1,5 +1,6 @@
 """Clique search tree structure, counting, and enumeration."""
 
+import gc
 import random
 
 import pytest
@@ -17,10 +18,11 @@ from clique_census import (
     subtree_at,
     subtree_bound_check,
 )
+from clique_census.graph import degeneracy
 from clique_census.tree import trees_isomorphic
 
-from brute import brute_census, brute_cliques
-from strategies import graphs
+from brute import brute_census, brute_cliques, extension_census
+from strategies import WORD_EDGE_SIZES, graphs, word_edge_graphs
 
 
 def k(n):
@@ -166,3 +168,48 @@ def test_census_total_and_max_size():
     assert c.total == 16
     assert c.max_clique_size == 4
     assert c.to_json_array() == ["1", "4", "6", "4", "1"]
+
+
+@pytest.mark.parametrize("n", WORD_EDGE_SIZES)
+def test_root_split_at_word_edges(n):
+    for g in word_edge_graphs(n):
+        expected = extension_census(g)
+        for threads in (1, 2):
+            assert list(census(g, threads=threads).counts) == expected
+        assert count_cliques(g) == sum(expected)
+        tree = build_tree(g)
+        assert [node.clique() for node in tree.nodes] == list(enumerate_cliques(g))
+        # root children follow the peel; each label is the later neighbours
+        order = degeneracy(g).ordering
+        assert [c.chosen_vertex for c in tree.root.children] == list(order)
+        for i, child in enumerate(tree.root.children):
+            assert child.label == g.adj[order[i]] & set(order[i + 1:])
+
+
+@pytest.mark.parametrize("discard", [False, True])
+def test_discard_frees_nodes_without_the_cycle_collector(discard):
+    gc.collect()
+    gc.disable()
+    try:
+        tree = build_tree(k(8))
+        if discard:
+            tree.discard()
+            assert all(node.children == [] for node in tree.nodes)
+        del tree
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    # 256 nodes and their child lists otherwise wait for the collector
+    assert (unreachable == 0) == discard
+
+
+def test_capacity_error_frees_partial_tree():
+    gc.collect()
+    gc.disable()
+    try:
+        with pytest.raises(CapacityError):
+            build_tree(k(10), node_cap=100)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
