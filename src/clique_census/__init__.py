@@ -74,6 +74,7 @@ from .audit import (
     BoundaryCase,
     RefinedExponentsReport,
     Skeleton,
+    SkeletonNode,
     audit_dense_window,
     audit_graph,
     bound_degenerate,

@@ -309,14 +309,29 @@ def _cmd_census(args) -> int:
     return EXIT_OK
 
 
+def _json_clique(clique) -> str:
+    """One clique as json.dumps(..., indent=2) prints it inside "cliques"."""
+    if not clique:
+        return "[]"
+    return "[\n      " + ",\n      ".join(map(str, sorted(clique))) + "\n    ]"
+
+
 def _cmd_enumerate(args) -> int:
     g, _ = _resolve_graph(args)
-    if args.format == "json":
-        cliques = [sorted(c) for c in enumerate_cliques(g)]
-        _emit_json(args, {"config": _config_dict(args), "cliques": cliques})
-        return EXIT_OK
-    # streamed one line per clique, so memory stays at the tree's depth
+    # streamed one clique at a time, so memory stays at the tree's depth
     with _output(args) as out:
+        if args.format == "json":
+            # the same bytes as json.dumps of the whole payload, indent=2;
+            # the list is never empty, since the empty clique comes first
+            head = json.dumps({"config": _config_dict(args), "cliques": None}, indent=2)
+            prefix, suffix = head.rsplit("null", 1)
+            out.write(prefix + "[")
+            sep = "\n    "
+            for c in enumerate_cliques(g):
+                out.write(sep + _json_clique(c))
+                sep = ",\n    "
+            out.write("\n  ]" + suffix + "\n")
+            return EXIT_OK
         for c in enumerate_cliques(g):
             out.write(" ".join(map(str, sorted(c))) + "\n")
     return EXIT_OK

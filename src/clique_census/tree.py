@@ -29,6 +29,7 @@ from typing import Iterator, NamedTuple
 from . import backend as _backend
 from .errors import CapacityError
 from .graph import (
+    DegeneracyResult,
     Graph,
     degeneracy,
     induced_subgraph,
@@ -125,16 +126,30 @@ class CliqueSearchTree:
             node.children.clear()
 
 
-def _root_children(g: Graph) -> Iterator[tuple[int, int]]:
+def _root_children(g: Graph,
+                   peel: DegeneracyResult | None = None) -> Iterator[tuple[int, int]]:
     """Yield (v, label of v's root child) in the root's child order.
 
     The label is the mask of v's neighbours later in the peel. Children
-    are streamed, so no list of all n labels is ever held.
+    are streamed, so no list of all n labels is ever held. A caller that
+    has already peeled g passes the result as `peel`, so g is not peeled
+    again.
     """
+    if peel is None:
+        peel = degeneracy(g)
     remaining = g.full_mask()
-    for v in degeneracy(g).ordering:
+    for v in peel.ordering:
         yield v, g.bits[v] & remaining
         remaining ^= 1 << v
+
+
+def _label_children(g: Graph, label: int) -> Iterator[tuple[int, int]]:
+    """Yield (v, child label) for the children of a node labelled `label`,
+    in child order, by the min-degree descent on global ids."""
+    while label:
+        v = min_degree_vertex(g, label)
+        yield v, label & g.bits[v]
+        label ^= 1 << v
 
 
 def build_tree(g: Graph, node_cap: int = DEFAULT_NODE_CAP) -> CliqueSearchTree:

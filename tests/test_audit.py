@@ -1,12 +1,18 @@
 """Audit pipeline: skeleton rule, boundary cases, window conditions, bounds."""
 
+import random
+from contextlib import nullcontext
 from fractions import Fraction
 from math import comb, isclose
 
 import pytest
+from hypothesis import given, settings
 
+import clique_census.audit as audit_module
+import clique_census.tree as tree_module
 from clique_census import (
     AuditCheck,
+    CapacityError,
     AuditConfig,
     audit_dense_window,
     audit_graph,
@@ -22,6 +28,8 @@ from clique_census import (
     refined_exponents,
 )
 from clique_census.graph import Graph
+
+from strategies import WORD_EDGE_SIZES, graphs, word_edge_graphs
 
 
 def k_minus_matching(n):
@@ -64,27 +72,191 @@ def test_skeleton_matches_independent_rescan():
     ]
     for g, t in cases:
         tree = build_tree(g)
-        skel = build_skeleton(tree, t)
+        skel = build_skeleton(g, t)
         want = independent_skeleton(tree, t)
-        assert set(skel.subtree.included) == want
+        assert set(skel.included) == want
         assert skel.height == max(tree.nodes[i].depth for i in want)
+
+
+def tree_case(node, t):
+    """Boundary case of a materialized node, by the audit's own rule."""
+    if node.label_size * node.label_size <= 10 * t * t:
+        return "small_label"
+    if any(10 * c.label_size >= 9 * node.label_size for c in node.children):
+        return "dense_window"
+    return "small_children"
+
+
+def assert_skeleton_matches_tree(g, t):
+    """The streaming skeleton against a rescan of the materialized tree."""
+    tree = build_tree(g)
+    sizes = tree.subtree_sizes()
+    want = independent_skeleton(tree, t)
+    skel = build_skeleton(g, t)
+    assert skel.included == want
+    assert [node.index for node in skel.nodes] == sorted(want)
+    assert skel.height == max(tree.nodes[i].depth for i in want)
+    assert skel.tree_size == tree.node_count
+    excluded = [c for i in sorted(want) for c in tree.nodes[i].children
+                if c.index not in want]
+    assert skel.hanging_count == len(excluded)
+    streamed = []
+    for node in skel.nodes:
+        twin = tree.nodes[node.index]
+        assert node.depth == twin.depth
+        assert node.label_size == twin.label_size
+        assert node.chosen_vertex == twin.chosen_vertex
+        assert node.size == sizes[node.index]
+        assert node.child_indices() == [c.index for c in twin.children]
+        assert node.child_vertices == tuple(c.chosen_vertex for c in twin.children)
+        assert node.child_label_sizes == tuple(c.label_size for c in twin.children)
+        streamed.extend((node.child_indices()[pos], node.child_sizes[pos])
+                        for pos in node.excluded())
+    assert streamed == [(c.index, sizes[c.index]) for c in excluded]
+    cfg = AuditConfig(t=t, assume_subdivision_free=True)
+    cases, checks, *_ = audit_module.audit_boundary_cases(skel, cfg, g)
+    boundary = [tree.nodes[i] for i in sorted(want)
+                if any(c.index not in want for c in tree.nodes[i].children)]
+    assert [(c.node, c.label_size, c.case) for c in cases] == [
+        (node.index, node.label_size, tree_case(node, t)) for node in boundary
+    ]
+    # the hanging sizes behind the two aggregate boundary checks
+    small_label = small_child = 0
+    for node in boundary:
+        case = tree_case(node, t)
+        if case == "small_label":
+            small_label = max(small_label, sizes[node.index])
+            continue
+        children = node.children
+        if case == "dense_window":
+            cut = next(i for i, c in enumerate(children)
+                       if 10 * c.label_size >= 9 * node.label_size)
+            children = children[:cut]
+        small_child = max([small_child] + [sizes[c.index] for c in children
+                                           if c.index not in want])
+    assert (checks[0].name, checks[0].lhs) == ("boundary-small-subtree", small_label)
+    assert (checks[1].name, checks[1].lhs) == ("boundary-excluded-child", small_child)
+    tree.discard()
+
+
+def seeded_gnp(n, p, seed):
+    rng = random.Random(seed)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < p])
+
+
+@given(graphs(max_n=12))
+@settings(max_examples=60)
+def test_streaming_skeleton_matches_tree_hypothesis(g):
+    for t in (1, 2, 4):
+        assert_skeleton_matches_tree(g, t)
+
+
+def test_streaming_skeleton_matches_tree_across_word_edges():
+    for n in WORD_EDGE_SIZES:
+        for g in word_edge_graphs(n) + [seeded_gnp(n, 0.25, n)]:
+            for t in (1, 2):
+                assert_skeleton_matches_tree(g, t)
+
+
+def depth_scan(g):
+    """Largest label per depth of the materialized tree."""
+    tree = build_tree(g)
+    worst = {}
+    for node in tree.nodes:
+        worst[node.depth] = max(worst.get(node.depth, 0), node.label_size)
+    tree.discard()
+    return worst
+
+
+def assert_truncation_query_matches_tree(g):
+    worst = depth_scan(g)
+    for depth in range(max(worst) + 2):
+        assert audit_module._largest_label_at_depth(g, depth) == worst.get(depth, 0)
+
+
+@given(graphs(max_n=12))
+@settings(max_examples=60)
+def test_truncation_query_matches_tree_hypothesis(g):
+    assert_truncation_query_matches_tree(g)
+
+
+def test_truncation_query_matches_tree_across_word_edges():
+    for n in WORD_EDGE_SIZES:
+        for g in word_edge_graphs(n):
+            assert_truncation_query_matches_tree(g)
+    for g in (k_minus_matching(12), complete(10), path_power(30, 3)):
+        assert_truncation_query_matches_tree(g)
+
+
+def audit_inputs():
+    """The audits of this file and of the acceptance suite."""
+    probs = (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5))
+    return [
+        (path_power(30, 2), AuditConfig(t=4)),
+        (complete_multipartite_222(3), AuditConfig(t=4)),
+        (path_power(12, 2), AuditConfig(t=4)),
+        (complete(13), AuditConfig(t=4, assume_subdivision_free=True)),
+        (complete(13), AuditConfig(t=4)),
+        (path_power(2000, 2), AuditConfig(t=4)),
+        (Graph(0, []), AuditConfig(t=4)),
+        (path_power(5, 1), AuditConfig(t=3)),
+        (complete(3), AuditConfig(t=3)),
+        (complete(14), AuditConfig(t=4, node_cap=1000)),
+        (k_minus_matching(20), AuditConfig(t=4, assume_subdivision_free=True)),
+    ] + [
+        (random_gnp(8 + (i % 11), probs[i % 3], seed=1000 + i),
+         AuditConfig(t=5, oracle_limit=18))
+        for i in range(20)
+    ]
+
+
+def test_audit_builds_no_tree(monkeypatch):
+    want = [audit_graph(g, cfg).to_json() for g, cfg in audit_inputs()]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the audit built a clique tree node")
+
+    monkeypatch.setattr(tree_module.CliqueTreeNode, "__init__", refuse)
+    with pytest.raises(AssertionError):
+        build_tree(complete(2))
+    assert [audit_graph(g, cfg).to_json() for g, cfg in audit_inputs()] == want
+    checks = audit_dense_window(path_power(24, 2), 4)
+    assert {c.name: c for c in checks}["window-truncation"].holds
+    checks = audit_dense_window(complete(20), 4, node_cap=100, window_count=2**20)
+    assert "node cap" in {c.name: c for c in checks}["window-truncation"].note
+
+
+def test_audit_peels_the_input_once(monkeypatch):
+    for g, cfg in audit_inputs():
+        if cfg.t <= 3 or g.n == 0:
+            continue  # the short-circuits count the cliques separately
+        peels = []
+        for module in (audit_module, tree_module):
+            def counted(h, _peel=module.degeneracy):
+                if h is g:
+                    peels.append(h)
+                return _peel(h)
+            monkeypatch.setattr(module, "degeneracy", counted)
+        audit_graph(g, cfg)
+        monkeypatch.undo()
+        assert len(peels) == 1
 
 
 def test_skeleton_trivial_cases():
     for g in (complete(3), Graph(5, []), path_power(40, 2)):
-        skel = build_skeleton(build_tree(g), 4)
+        skel = build_skeleton(g, 4)
         assert skel.size == 1
         assert skel.height == 0
-        assert skel.subtree.included == frozenset({0})
+        assert skel.included == frozenset({0})
     with pytest.raises(ValueError):
-        build_skeleton(build_tree(complete(3)), 0)
+        build_skeleton(complete(3), 0)
 
 
 def test_skeleton_nontrivial_when_dense_and_large():
     # min-degree vertex of K_15 minus a matching keeps 13 of 15 label
     # vertices: 13^2 >= 160 and 10*13 < 9*15, so its child enters
-    tree = build_tree(k_minus_matching(15))
-    skel = build_skeleton(tree, 4)
+    skel = build_skeleton(k_minus_matching(15), 4)
     assert skel.size > 1
     assert skel.height >= 1
 
@@ -229,6 +401,26 @@ def test_audit_node_cap_degradation():
     named = checks_by_name(report)
     assert set(named) == {"degeneracy-cap", "total-headline", "degenerate-bound"}
     assert any("structural audits skipped" in note for note in report.notes)
+
+
+def test_node_caps_compare_like_build_tree():
+    # build_tree raises CapacityError iff the tree has more nodes than the
+    # cap; the audit and the window truncation skip exactly then
+    for cap, skipped in ((2**14, False), (2**14 - 1, True)):
+        with pytest.raises(CapacityError) if skipped else nullcontext():
+            build_tree(complete(14), node_cap=cap).discard()
+        report = audit_graph(complete(14), AuditConfig(t=4, node_cap=cap))
+        notes = " ".join(report.notes)
+        assert ("structural audits skipped" in notes) == skipped
+        if skipped:
+            assert f"(partial count {cap})" in notes
+        else:
+            assert "skeleton-size" in checks_by_name(report)
+    for cap, skipped in ((2**20, False), (2**20 - 1, True)):
+        checks = audit_dense_window(complete(20), 4, node_cap=cap, window_count=2**20)
+        named = {c.name: c for c in checks}
+        assert ("node cap" in named["window-truncation"].note) == skipped
+        assert named["window-truncation"].lhs == (0 if skipped else 18)
 
 
 def test_bound_degenerate_values():

@@ -1,11 +1,19 @@
 """Command-line interface: formats, exit codes, determinism, config echo."""
 
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
+from clique_census import (
+    Graph,
+    complete,
+    enumerate_cliques,
+    path_power,
+    serialize,
+)
 from clique_census.cli import main
 
 
@@ -60,6 +68,27 @@ def test_enumerate_text_and_json(capsys):
         capsys, "enumerate", "--construct", "complete:n=2", "--format", "json"
     )
     assert json.loads(out)["cliques"] == [[], [0], [0, 1], [1]]
+
+
+def test_enumerate_json_streams_the_same_bytes(capsys, tmp_path):
+    rng = random.Random(3)
+    pairs = [(u, v) for u in range(25) for v in range(u + 1, 25)]
+    graphs = [
+        Graph(0, []),
+        complete(2),
+        path_power(30, 2),
+        Graph(25, [e for e in pairs if rng.random() < 0.3]),
+    ]
+    for i, g in enumerate(graphs):
+        path = tmp_path / f"g{i}.txt"
+        path.write_text(serialize(g))
+        code, out, _ = run(capsys, "enumerate", str(path), "--format", "json")
+        assert code == 0
+        payload = {
+            "config": json.loads(out)["config"],
+            "cliques": [sorted(c) for c in enumerate_cliques(g)],
+        }
+        assert out == json.dumps(payload, indent=2) + "\n"
 
 
 def test_generate_then_count_roundtrip(capsys, tmp_path):
