@@ -32,6 +32,7 @@ def census_of_subset(bits: tuple[int, ...], start_mask: int) -> list[int]:
         if cur == 0:
             d -= 1
             continue
+        # graph.min_degree_in inlined: calling it per node slowed this loop ~20%
         best_v = -1
         best_deg = size + 1
         m = cur

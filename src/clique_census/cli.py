@@ -14,6 +14,7 @@ import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import islice
 from typing import Iterator, TextIO
 
 from .audit import (
@@ -50,7 +51,8 @@ from .subdivision import (
     has_minor,
     has_subdivision,
 )
-from .tree import DEFAULT_NODE_CAP, census, count_cliques, enumerate_cliques
+from .tree import DEFAULT_NODE_CAP, _clique_tuples, census, count_cliques
+from .tree import enumerate_cliques  # noqa: F401  unused here; traced by this name
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -309,31 +311,42 @@ def _cmd_census(args) -> int:
     return EXIT_OK
 
 
-def _json_clique(clique) -> str:
-    """One clique as json.dumps(..., indent=2) prints it inside "cliques"."""
+# lines per write of a listing: few writes, and memory bounded by a batch
+_LISTING_BATCH = 4096
+
+
+def _json_clique(clique, name) -> str:
+    """One clique as json.dumps(..., indent=2) prints it inside "cliques";
+    name(v) is the decimal string of vertex v."""
     if not clique:
         return "[]"
-    return "[\n      " + ",\n      ".join(map(str, sorted(clique))) + "\n    ]"
+    return "[\n      " + ",\n      ".join(map(name, sorted(clique))) + "\n    ]"
+
+
+def _write_joined(out: TextIO, items: Iterator[str], sep: str) -> None:
+    """Write the items joined by sep, _LISTING_BATCH items per write."""
+    lead = ""
+    while batch := list(islice(items, _LISTING_BATCH)):
+        out.write(lead + sep.join(batch))
+        lead = sep
 
 
 def _cmd_enumerate(args) -> int:
     g, _ = _resolve_graph(args)
-    # streamed one clique at a time, so memory stays at the tree's depth
+    name = [str(v) for v in range(g.n)].__getitem__
+    cliques = _clique_tuples(g)
     with _output(args) as out:
         if args.format == "json":
             # the same bytes as json.dumps of the whole payload, indent=2;
             # the list is never empty, since the empty clique comes first
             head = json.dumps({"config": _config_dict(args), "cliques": None}, indent=2)
             prefix, suffix = head.rsplit("null", 1)
-            out.write(prefix + "[")
-            sep = "\n    "
-            for c in enumerate_cliques(g):
-                out.write(sep + _json_clique(c))
-                sep = ",\n    "
+            out.write(prefix + "[\n    ")
+            _write_joined(out, (_json_clique(c, name) for c in cliques), ",\n    ")
             out.write("\n  ]" + suffix + "\n")
-            return EXIT_OK
-        for c in enumerate_cliques(g):
-            out.write(" ".join(map(str, sorted(c))) + "\n")
+        else:
+            _write_joined(out, (" ".join(map(name, sorted(c))) for c in cliques), "\n")
+            out.write("\n")
     return EXIT_OK
 
 

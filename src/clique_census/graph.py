@@ -236,6 +236,29 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     return Graph(len(new_to_old), edges), new_to_old
 
 
+def min_degree_in(bits, mask: int) -> int:
+    """Smallest id among the minimum-degree vertices of the subgraph on `mask`.
+
+    `bits` holds the adjacency rows as int bitmasks; `mask` must be
+    nonempty. The scan runs in increasing id order and stops at the first
+    vertex of degree 0, which no later vertex can beat.
+    """
+    best_v = -1
+    best_deg = mask.bit_count() + 1
+    m = mask
+    while m:
+        low = m & -m
+        v = low.bit_length() - 1
+        deg = (bits[v] & mask).bit_count()
+        if deg < best_deg:
+            if deg == 0:
+                return v
+            best_deg = deg
+            best_v = v
+        m ^= low
+    return best_v
+
+
 def min_degree_vertex(g: Graph, vertices: Iterable[int] | int | None = None) -> int:
     """Vertex of minimum degree within the induced subgraph on `vertices`.
 
@@ -254,18 +277,7 @@ def min_degree_vertex(g: Graph, vertices: Iterable[int] | int | None = None) -> 
             mask |= 1 << v
     if mask == 0:
         raise ValueError("vertex set is empty")
-    best_v = -1
-    best_deg = g.n + 1
-    m = mask
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        deg = (g.bits[v] & mask).bit_count()
-        if deg < best_deg:
-            best_deg = deg
-            best_v = v
-        m ^= low
-    return best_v
+    return min_degree_in(g.bits, mask)
 
 
 class DegeneracyResult(NamedTuple):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import OracleLimitError
-from .graph import Graph, mask_vertices
+from .graph import Graph, mask_vertices, min_degree_in
 
 DEFAULT_EXHAUSTIVE_LIMIT = 22
 
@@ -109,16 +109,8 @@ def check_local_sparsity(
             size = mask.bit_count()
             if size < threshold:
                 break
-            m = mask
-            best_v, best_deg = -1, g.n + 1
-            while m:
-                low = m & -m
-                v = low.bit_length() - 1
-                deg = (g.bits[v] & mask).bit_count()
-                if deg < best_deg:
-                    best_deg, best_v = deg, v
-                m ^= low
-            if best_deg * q > p * size:
+            best_v = min_degree_in(g.bits, mask)
+            if (g.bits[best_v] & mask).bit_count() * q > p * size:
                 return SparsityCertificate(
                     "violated", "peeling", params, frozenset(mask_vertices(mask))
                 )

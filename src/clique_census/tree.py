@@ -10,12 +10,14 @@ a node is the set of chosen vertices along its root path.
 The root's choice sequence is exactly the min-degree peeling order of
 degeneracy(g), so the root is split once, in O(m log n): root child v has
 the label L_v of v's neighbours later in the peel, |L_v| <= d, and its
-subtree is the tree of G[L_v] with ids relabelled in order. Everything
-below the root costs time in the size of a local subproblem, not in n.
+subtree is the tree of G[L_v] with ids relabelled in order. Census and
+enumeration run on these local graphs, so each step below the root costs
+time in the size of a local subproblem, not in n.
 
 Counting and census run streaming through the selected kernel backend, one
 job per root child, and never materialize nodes; build_tree materializes
-the node structure for inspection, subject to a node cap.
+the node structure for inspection, subject to a node cap, and descends on
+global ids, which makes it an independent check of the local descents.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .graph import (
     degeneracy,
     induced_subgraph,
     mask_vertices,
-    min_degree_vertex,
+    min_degree_in,
 )
 
 DEFAULT_NODE_CAP = 10_000_000
@@ -147,7 +149,7 @@ def _label_children(g: Graph, label: int) -> Iterator[tuple[int, int]]:
     """Yield (v, child label) for the children of a node labelled `label`,
     in child order, by the min-degree descent on global ids."""
     while label:
-        v = min_degree_vertex(g, label)
+        v = min_degree_in(g.bits, label)
         yield v, label & g.bits[v]
         label ^= 1 << v
 
@@ -180,7 +182,7 @@ def build_tree(g: Graph, node_cap: int = DEFAULT_NODE_CAP) -> CliqueSearchTree:
             node, remaining = stack.pop()
             if remaining == 0:
                 continue
-            v = min_degree_vertex(g, remaining)
+            v = min_degree_in(g.bits, remaining)
             child = attach(node, v, remaining & g.bits[v])
             stack.append((node, remaining ^ (1 << v)))
             stack.append((child, child.label_bits))
@@ -205,10 +207,17 @@ class CliqueCensus:
         return [str(c) for c in self.counts]
 
 
+def _local_graph(g: Graph, label: int) -> tuple[Graph, tuple[int, ...]]:
+    """G[label] relabelled in order, and its local-to-global id map.
+
+    The subtree below a root child is the tree of this graph: the map is
+    sorted, so tie-breaking, child order and sorted order are unchanged.
+    """
+    return induced_subgraph(g, mask_vertices(label))
+
+
 def _local_census(g: Graph, label: int, backend: str) -> list[int]:
-    # the subtree below a root child is the tree of the child's label,
-    # relabelled in order so that tie-breaking is unchanged
-    local, _ = induced_subgraph(g, mask_vertices(label))
+    local, _ = _local_graph(g, label)
     return _backend.census_of_subset(local, local.full_mask(), backend)
 
 
@@ -256,26 +265,48 @@ def count_cliques(g: Graph, threads: int = 1, backend: str | None = None) -> int
     return census(g, threads=threads, backend=backend).total
 
 
+def _clique_tuples(g: Graph) -> Iterator[tuple[int, ...]]:
+    """Yield every clique of g as a tuple of ids in the order they were
+    chosen, in depth-first child-creation order, the empty clique first.
+
+    Below each root child the descent runs on the child's local graph of
+    at most d vertices and maps ids back, so no step scans n-bit masks.
+    """
+    yield ()
+    for v, label in _root_children(g):
+        top = (v,)
+        yield top
+        if not label:
+            continue
+        local, new_to_old = _local_graph(g, label)
+        bits = local.bits
+        # entries are (nonempty label left, clique of the node whose
+        # children it yields); the new child's entry goes on top, so its
+        # subtree comes before its later siblings
+        stack: list[tuple[int, tuple[int, ...]]] = [(local.full_mask(), top)]
+        while stack:
+            remaining, chosen = stack.pop()
+            u = min_degree_in(bits, remaining)
+            rest = remaining ^ (1 << u)
+            if rest:
+                stack.append((rest, chosen))
+            clique = chosen + (new_to_old[u],)
+            yield clique
+            child = remaining & bits[u]
+            if child:
+                stack.append((child, clique))
+
+
 def enumerate_cliques(g: Graph) -> Iterator[frozenset[int]]:
     """Yield every clique of g, in depth-first child-creation order.
 
-    The empty clique comes first. Memory stays proportional to the depth of
-    the tree, not to the clique count.
+    The empty clique comes first, and the order is the preorder of
+    build_tree(g). Below each root child the cliques come from the
+    search tree of the child's label, relabelled in order, so a step
+    costs time in the local graph's size, not in n. Memory stays
+    proportional to the depth of the tree, not to the clique count.
     """
-    yield frozenset()
-    for v, label in _root_children(g):
-        yield frozenset((v,))
-        stack: list[tuple[int, tuple[int, ...]]] = [(label, (v,))]
-        while stack:
-            remaining, chosen = stack.pop()
-            if remaining == 0:
-                continue
-            v = min_degree_vertex(g, remaining)
-            child_bits = remaining & g.bits[v]
-            clique = chosen + (v,)
-            stack.append((remaining ^ (1 << v), chosen))
-            yield frozenset(clique)
-            stack.append((child_bits, clique))
+    yield from map(frozenset, _clique_tuples(g))
 
 
 def subtree_at(tree: CliqueSearchTree, node: CliqueTreeNode) -> CliqueSearchTree:

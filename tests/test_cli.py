@@ -1,20 +1,30 @@
 """Command-line interface: formats, exit codes, determinism, config echo."""
 
+import io
 import json
 import random
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from clique_census import (
     Graph,
+    build_tree,
     complete,
+    complete_multipartite_222,
     enumerate_cliques,
     path_power,
     serialize,
 )
+from clique_census import cli
 from clique_census.cli import main
+
+from strategies import WORD_EDGE_SIZES, graphs, word_edge_graphs
 
 
 def run(capsys, *argv):
@@ -89,6 +99,56 @@ def test_enumerate_json_streams_the_same_bytes(capsys, tmp_path):
             "cliques": [sorted(c) for c in enumerate_cliques(g)],
         }
         assert out == json.dumps(payload, indent=2) + "\n"
+
+
+def _preorder_listing(g):
+    """The text listing built independently from build_tree's preorder."""
+    return "".join(" ".join(map(str, sorted(node.clique()))) + "\n"
+                   for node in build_tree(g).nodes)
+
+
+def _assert_text_listing(g, directory):
+    graph_path = Path(directory) / "g.txt"
+    graph_path.write_text(serialize(g))
+    listing_path = Path(directory) / "listing.txt"
+    assert main(["enumerate", str(graph_path), "--output", str(listing_path)]) == 0
+    stdout = io.StringIO()
+    with redirect_stdout(stdout):
+        assert main(["enumerate", str(graph_path)]) == 0
+    expected = _preorder_listing(g)
+    assert listing_path.read_text() == expected
+    assert stdout.getvalue() == expected
+
+
+@given(graphs())
+@settings(max_examples=60, deadline=None)
+def test_enumerate_text_matches_tree_preorder(g):
+    with tempfile.TemporaryDirectory() as directory:
+        _assert_text_listing(g, directory)
+
+
+@pytest.mark.parametrize("n", WORD_EDGE_SIZES)
+def test_enumerate_text_matches_tree_preorder_at_word_edges(n, tmp_path):
+    for g in word_edge_graphs(n):
+        _assert_text_listing(g, tmp_path)
+
+
+def test_enumerate_text_across_write_batches(tmp_path):
+    _assert_text_listing(Graph(0, []), tmp_path)
+    g = complete_multipartite_222(8)  # 3^8 = 6561 cliques
+    assert 6561 > cli._LISTING_BATCH
+    _assert_text_listing(g, tmp_path)
+
+
+def test_enumerate_json_across_write_batches(capsys):
+    g = complete_multipartite_222(8)
+    code, out, _ = run(capsys, "enumerate", "--construct", "complete_multipartite:k=8",
+                       "--format", "json")
+    assert code == 0
+    cliques = [sorted(c) for c in enumerate_cliques(g)]
+    assert len(cliques) > cli._LISTING_BATCH
+    payload = {"config": json.loads(out)["config"], "cliques": cliques}
+    assert out == json.dumps(payload, indent=2) + "\n"
 
 
 def test_generate_then_count_roundtrip(capsys, tmp_path):

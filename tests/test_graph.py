@@ -16,7 +16,7 @@ from clique_census import (
     parse_graph,
     serialize,
 )
-from clique_census.graph import load_graph
+from clique_census.graph import load_graph, mask_vertices, min_degree_in
 
 from brute import naive_degeneracy
 from strategies import WORD_EDGE_SIZES, graphs, word_edge_graphs
@@ -154,6 +154,27 @@ def test_min_degree_vertex_ties_break_low():
         min_degree_vertex(g, 0)
     with pytest.raises(ValueError):
         min_degree_vertex(g, [7])
+
+
+@given(graphs(max_n=12), st.integers(min_value=1, max_value=(1 << 12) - 1))
+def test_min_degree_in_is_lowest_min_degree(g, mask):
+    mask &= g.full_mask()
+    if mask == 0:
+        return
+    vertices = mask_vertices(mask)
+    degrees = {v: len(g.adj[v] & set(vertices)) for v in vertices}
+    expected = min(vertices, key=lambda v: (degrees[v], v))
+    assert min_degree_in(g.bits, mask) == expected == min_degree_vertex(g, mask)
+
+
+def test_min_degree_in_stops_at_degree_zero():
+    # edge 0-1, vertex 2 isolated: no row after 2 may be read
+    class Rows(list):
+        def __getitem__(self, v):
+            assert v <= 2, f"row {v} read after an isolated vertex"
+            return list.__getitem__(self, v)
+
+    assert min_degree_in(Rows([0b10, 0b01, 0, 0b10000, 0b1000]), 0b11111) == 2
 
 
 def test_degeneracy_known_values():

@@ -19,7 +19,7 @@ from clique_census import (
     subtree_bound_check,
 )
 from clique_census.graph import degeneracy
-from clique_census.tree import trees_isomorphic
+from clique_census.tree import _root_children, trees_isomorphic
 
 from brute import brute_census, brute_cliques, extension_census
 from strategies import WORD_EDGE_SIZES, graphs, word_edge_graphs
@@ -170,6 +170,15 @@ def test_census_total_and_max_size():
     assert c.to_json_array() == ["1", "4", "6", "4", "1"]
 
 
+def _assert_public_enumeration(g, tree):
+    """enumerate_cliques yields frozensets, the empty clique first, in
+    the preorder of the tree build_tree makes by its global-id descent."""
+    cliques = list(enumerate_cliques(g))
+    assert all(type(c) is frozenset for c in cliques)
+    assert cliques[0] == frozenset()
+    assert cliques == [node.clique() for node in tree.nodes]
+
+
 @pytest.mark.parametrize("n", WORD_EDGE_SIZES)
 def test_root_split_at_word_edges(n):
     for g in word_edge_graphs(n):
@@ -178,12 +187,22 @@ def test_root_split_at_word_edges(n):
             assert list(census(g, threads=threads).counts) == expected
         assert count_cliques(g) == sum(expected)
         tree = build_tree(g)
-        assert [node.clique() for node in tree.nodes] == list(enumerate_cliques(g))
+        _assert_public_enumeration(g, tree)
         # root children follow the peel; each label is the later neighbours
         order = degeneracy(g).ordering
         assert [c.chosen_vertex for c in tree.root.children] == list(order)
         for i, child in enumerate(tree.root.children):
             assert child.label == g.adj[order[i]] & set(order[i + 1:])
+
+
+def test_enumerate_with_isolated_vertices():
+    # 0, 4 and 7 are isolated, and every vertex last in its component's
+    # peel has an empty root-child label too
+    g = Graph(8, [(1, 2), (2, 3), (1, 3), (5, 6)])
+    root_labels = [label for _, label in _root_children(g)]
+    assert root_labels.count(0) == 5
+    _assert_public_enumeration(g, build_tree(g))
+    assert set(enumerate_cliques(g)) == brute_cliques(g)
 
 
 @pytest.mark.parametrize("discard", [False, True])
