@@ -1,8 +1,10 @@
 # cython: language_level=3, boundscheck=False, wraparound=False, initializedcheck=False, cdivision=True
 """Compiled bitset kernel for the streaming clique-tree traversal.
 
-Same traversal as the pure kernel, over flat arrays of 64-bit words. The
-core loop runs without the GIL, so root-split traversals can use threads.
+Walks the min-degree clique tree one node per clique, over flat arrays of
+64-bit words, with uint64 counters; the pure kernel reaches the same counts
+by pivoting. The core loop runs without the GIL, so root-split traversals
+can use threads.
 """
 
 from libc.stdint cimport uint64_t

@@ -1,13 +1,21 @@
-"""Pure-Python bitset kernel for the streaming clique-tree traversal.
+"""Pure-Python pivot kernel for the clique census.
 
 Candidate sets are Python ints used as bitmasks, so any vertex count works.
-The traversal visits one tree node per clique: at each node it repeatedly
-picks the minimum-degree vertex of the candidate-induced subgraph (smallest
-id on ties), descends into the intersection with its neighborhood, then
-drops the vertex and continues.
+The census does not visit each clique. It walks a pivoting tree (Jain and
+Seshadhri, "The Power of Pivoting for Exact Clique Counting", WSDM 2020):
+every leaf stands for a set of h held vertices, which each of its cliques
+contains, and p pivots, which each of its cliques may or may not contain,
+so a leaf counts C(p, k) cliques of size h + k. Counts are exact Python
+ints, so they never overflow.
+
+The compiled kernel, enumeration, build_tree and the audit's skeleton still
+walk the min-degree clique tree, one node per clique; they are the
+independent reference for these counts.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 
 def backend_name() -> str:
@@ -15,41 +23,54 @@ def backend_name() -> str:
 
 
 def census_of_subset(bits: tuple[int, ...], start_mask: int) -> list[int]:
-    """Per-depth node counts for the subtree rooted at the given candidate set.
+    """Per-size clique counts of the subgraph induced on start_mask.
 
-    counts[d] is the number of nodes at depth d; counts[0] == 1 for the root.
-    Trailing zero entries are trimmed. Each level drops at least the chosen
-    vertex, so the depth is at most the size of the candidate set.
+    counts[k] is the number of k-cliques; counts[0] == 1 for the empty
+    clique. Trailing zero entries are trimmed. These are also the per-depth
+    node counts of the min-degree clique tree below that candidate set.
+
+    At a candidate set S the pivot u is the candidate with the most
+    neighbours in S (smallest id on ties). One branch keeps u as a pivot and
+    recurses on S & N(u); then each non-neighbour v of u in S, in increasing
+    id order, is held and recurses on S & N(v) minus the non-neighbours
+    before it. Every clique of S lies in exactly one branch. A candidate set
+    that is itself a clique ends its branch with all its vertices as pivots,
+    which is the leaf the pivot chain below it would reach.
     """
-    size = start_mask.bit_count()
-    counts = [0] * (size + 2)
-    counts[0] = 1
-    levels = [0] * (size + 2)
-    levels[0] = start_mask
-    d = 0
-    while d >= 0:
-        cur = levels[d]
-        if cur == 0:
-            d -= 1
-            continue
-        # graph.min_degree_in inlined: calling it per node slowed this loop ~20%
+    leaves: dict[tuple[int, int], int] = {}  # (held, pivots) -> leaf count
+    stack = [(start_mask, 0, 0)]
+    while stack:
+        cand, held, pivots = stack.pop()
+        size = cand.bit_count()
         best_v = -1
-        best_deg = size + 1
-        m = cur
+        best_deg = -1
+        low_deg = size
+        m = cand
         while m:
             low = m & -m
             v = low.bit_length() - 1
-            deg = (bits[v] & cur).bit_count()
-            if deg < best_deg:
+            deg = (bits[v] & cand).bit_count()
+            if deg > best_deg:
                 best_deg = deg
                 best_v = v
-                if deg == 0:
-                    break
+            if deg < low_deg:
+                low_deg = deg
             m ^= low
-        levels[d + 1] = cur & bits[best_v]
-        levels[d] = cur ^ (1 << best_v)
-        d += 1
-        counts[d] += 1
-    while len(counts) > 1 and counts[-1] == 0:
-        counts.pop()
+        if low_deg >= size - 1:
+            key = (held, pivots + size)
+            leaves[key] = leaves.get(key, 0) + 1
+            continue
+        pivot_nbrs = bits[best_v] & cand
+        stack.append((pivot_nbrs, held, pivots + 1))
+        m = cand ^ pivot_nbrs ^ (1 << best_v)
+        rest = cand
+        while m:
+            low = m & -m
+            rest ^= low
+            stack.append((bits[low.bit_length() - 1] & rest, held + 1, pivots))
+            m ^= low
+    counts = [0] * (max(h + p for h, p in leaves) + 1)
+    for (h, p), c in leaves.items():
+        for k in range(p + 1):
+            counts[h + k] += c * comb(p, k)
     return counts

@@ -10,6 +10,7 @@ import os
 from array import array
 
 from . import _kernel_py
+from .graph import check_mask
 
 try:
     from . import _kernel  # type: ignore[attr-defined]
@@ -48,7 +49,15 @@ def releases_gil(backend: str) -> bool:
 
 
 def census_of_subset(g, start_mask: int, backend: str | None = None) -> list[int]:
-    """Per-depth clique-tree node counts below the given candidate set of g."""
+    """Per-size clique counts of the subgraph of g induced on start_mask.
+
+    counts[k] is the number of k-cliques, which is also the number of
+    depth-k nodes of the min-degree clique tree below that candidate set.
+    The pure kernel counts them by pivoting, without visiting each clique;
+    the compiled kernel walks that tree with uint64 counters. Raises
+    ValueError for a negative mask or one with bits at or above g.n.
+    """
+    check_mask(g, start_mask)
     if resolve_backend(backend) == "pure":
         return _kernel_py.census_of_subset(g.bits, start_mask)
     if g.n == 0:

@@ -236,6 +236,12 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     return Graph(len(new_to_old), edges), new_to_old
 
 
+def check_mask(g: Graph, mask: int) -> None:
+    """Raise ValueError unless mask is a set of vertices of g as a bitmask."""
+    if mask < 0 or mask >> g.n:
+        raise ValueError(f"mask has bits outside vertex ids 0..{g.n - 1}")
+
+
 def min_degree_in(bits, mask: int) -> int:
     """Smallest id among the minimum-degree vertices of the subgraph on `mask`.
 
@@ -263,11 +269,13 @@ def min_degree_vertex(g: Graph, vertices: Iterable[int] | int | None = None) -> 
     """Vertex of minimum degree within the induced subgraph on `vertices`.
 
     `vertices` may be an iterable of ids or a bitmask; None means all of g.
-    Ties break toward the smallest id. Errors on an empty set.
+    Ties break toward the smallest id. Errors on an empty set and on ids or
+    mask bits outside 0..n-1.
     """
     if vertices is None:
         mask = g.full_mask()
     elif isinstance(vertices, int):
+        check_mask(g, vertices)
         mask = vertices
     else:
         mask = 0

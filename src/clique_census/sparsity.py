@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import OracleLimitError
-from .graph import Graph, mask_vertices, min_degree_in
+from .graph import Graph, degeneracy, mask_vertices
 
 DEFAULT_EXHAUSTIVE_LIMIT = 22
 
@@ -103,18 +103,21 @@ def check_local_sparsity(
                 )
         return SparsityCertificate("sparse", "exhaustive", params)
     if mode == "peeling":
+        # the peel removes a minimum-degree vertex of what is left, smallest
+        # id on ties, so what is left before step i is the suffix order[i:]
+        # and the removed vertex's degree there counts its later neighbours
         p, q = beta.numerator, beta.denominator
-        mask = g.full_mask()
-        while mask:
-            size = mask.bit_count()
-            if size < threshold:
-                break
-            best_v = min_degree_in(g.bits, mask)
-            if (g.bits[best_v] & mask).bit_count() * q > p * size:
+        order = degeneracy(g).ordering
+        pos = [0] * g.n
+        for i, v in enumerate(order):
+            pos[v] = i
+        for i in range(g.n - threshold + 1):
+            v = order[i]
+            deg = sum(1 for u in g.adj[v] if pos[u] > i)
+            if deg * q > p * (g.n - i):
                 return SparsityCertificate(
-                    "violated", "peeling", params, frozenset(mask_vertices(mask))
+                    "violated", "peeling", params, frozenset(order[i:])
                 )
-            mask ^= 1 << best_v
         return SparsityCertificate("unknown", "peeling", params)
     raise ValueError(f"unknown mode {mode!r}")
 

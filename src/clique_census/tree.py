@@ -14,10 +14,13 @@ subtree is the tree of G[L_v] with ids relabelled in order. Census and
 enumeration run on these local graphs, so each step below the root costs
 time in the size of a local subproblem, not in n.
 
-Counting and census run streaming through the selected kernel backend, one
-job per root child, and never materialize nodes; build_tree materializes
-the node structure for inspection, subject to a node cap, and descends on
-global ids, which makes it an independent check of the local descents.
+Counting and census run through the selected kernel backend, one job per
+root child, and never materialize nodes: the pure kernel counts each
+child's cliques by pivoting, without visiting them, and the compiled one
+walks the child's subtree. Enumeration walks the subtrees one node per
+clique. build_tree materializes the node structure for inspection,
+subject to a node cap, and descends on global ids, which makes it an
+independent check of the local descents and of the pivot census.
 """
 
 from __future__ import annotations
@@ -240,12 +243,15 @@ def _child_censuses(g: Graph, threads: int, backend: str) -> Iterator[list[int]]
 
 
 def census(g: Graph, threads: int = 1, backend: str | None = None) -> CliqueCensus:
-    """Exact per-size clique counts, computed streaming.
+    """Exact per-size clique counts.
 
-    Depth-k tree nodes are exactly the k-cliques, so the per-depth node
-    counts of the traversal are the census. The list is trimmed after the
-    last nonzero entry. The traversal is always split at the root, one
-    kernel job per root child on its local graph of at most d vertices.
+    Depth-k tree nodes are exactly the k-cliques, so the census is also
+    the per-depth node count of the tree. The list is trimmed after the
+    last nonzero entry. The work is always split at the root, one kernel
+    job per root child on its local graph of at most d vertices; the pure
+    kernel counts each job's cliques by pivoting, in exact integers,
+    without visiting each clique, and the compiled kernel walks the job's
+    subtree.
     With threads > 1 the jobs run on a thread pool only when the backend
     releases the interpreter lock (the compiled one); the pure kernel
     holds it, so its jobs run one after another whatever threads says.

@@ -79,6 +79,26 @@ def naive_degeneracy(g) -> tuple[int, tuple[int, ...]]:
     return d, tuple(order)
 
 
+def peeling_certificate(g, beta, threshold) -> tuple[str, frozenset | None]:
+    """(verdict, witness) of the one-sided peeling sparsity probe, by the
+    rescanning loop: while at least `threshold` vertices are left, report
+    them as a violation if a minimum-degree one (smallest id on ties) has
+    degree above beta times their number, else remove it."""
+    nbr = adjacency_masks(g)
+    p, q = beta.numerator, beta.denominator
+    mask = (1 << g.n) - 1
+    while mask:
+        size = mask.bit_count()
+        if size < threshold:
+            break
+        vertices = [v for v in range(g.n) if mask >> v & 1]
+        v = min(vertices, key=lambda u: ((nbr[u] & mask).bit_count(), u))
+        if (nbr[v] & mask).bit_count() * q > p * size:
+            return "violated", frozenset(vertices)
+        mask ^= 1 << v
+    return "unknown", None
+
+
 def brute_cliques(g) -> set[frozenset]:
     """Every clique as a frozenset, by filtering all subsets."""
     nbr = adjacency_masks(g)

@@ -1,16 +1,24 @@
 """Kernel backend selection and agreement."""
 
+from math import comb
+
 import pytest
 from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from clique_census import backend as backend_module
 from clique_census import (
+    Graph,
     available_backends,
     census,
     census_of_subset,
+    complete,
+    complete_multipartite_222,
     count_cliques,
     default_backend,
+    induced_subgraph,
 )
+from clique_census.graph import mask_vertices
 
 from brute import brute_census, extension_census
 from strategies import graphs, word_edge_graphs
@@ -39,16 +47,44 @@ def test_threaded_census_agrees(g):
         assert count_cliques(g, threads=threads) == single.total
 
 
-@given(graphs(max_n=8))
-@settings(max_examples=40)
-def test_census_of_subset_restricts(g):
+@given(graphs(max_n=10), st.integers(min_value=0, max_value=(1 << 10) - 1))
+@settings(max_examples=80)
+def test_census_of_subset_restricts(g, mask):
     full = g.full_mask()
+    mask &= full
+    sub, _ = induced_subgraph(g, mask_vertices(mask))
     for name in available_backends():
         counts = census_of_subset(g, full, name)
         assert counts[0] == 1
         assert sum(counts) == count_cliques(g)
         # empty candidate set: only the empty clique
         assert census_of_subset(g, 0, name) == [1]
+        # any other set: the cliques of the subgraph it induces
+        assert census_of_subset(g, mask, name) == brute_census(sub)
+
+
+@pytest.mark.parametrize("mask", [-1, 1 << 5, 1 << 100, 0b10_0001])
+def test_census_of_subset_rejects_masks_outside_the_graph(mask):
+    g = Graph(5, [(0, 1), (1, 2)])
+    for name in available_backends():
+        with pytest.raises(ValueError):
+            census_of_subset(g, mask, name)
+    with pytest.raises(ValueError):
+        census_of_subset(Graph(0, []), 1, "pure")
+
+
+def test_pivot_census_of_complete_graph_is_exact_past_64_bits():
+    result = census(complete(70), backend="pure")
+    assert list(result.counts) == [comb(70, k) for k in range(71)]
+    assert result.total == 2**70
+
+
+def test_pivot_census_of_multipartite_closed_form():
+    # each s-clique picks s of the k parts and one of two vertices in each
+    k = 15
+    result = census(complete_multipartite_222(k), backend="pure")
+    assert list(result.counts) == [comb(k, s) * 2**s for s in range(k + 1)]
+    assert result.total == 3**k
 
 
 def test_thread_pool_path_agrees(monkeypatch):

@@ -154,6 +154,10 @@ def test_min_degree_vertex_ties_break_low():
         min_degree_vertex(g, 0)
     with pytest.raises(ValueError):
         min_degree_vertex(g, [7])
+    # bitmasks must lie within 0..n-1 too
+    for mask in (-1, 1 << 3, 0b1011, 1 << 100):
+        with pytest.raises(ValueError):
+            min_degree_vertex(g, mask)
 
 
 @given(graphs(max_n=12), st.integers(min_value=1, max_value=(1 << 12) - 1))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from clique_census import (
     Graph,
@@ -14,7 +15,8 @@ from clique_census import (
     lemma_sparsity_params,
 )
 
-from strategies import graphs
+from brute import peeling_certificate
+from strategies import WORD_EDGE_SIZES, graphs, word_edge_graphs
 
 
 def k(n):
@@ -101,6 +103,32 @@ def test_peeling_agrees_with_exhaustive(g):
         assert full.verdict == "violated"
     if full.verdict == "sparse":
         assert peel.verdict == "unknown"
+
+
+def _assert_peeling_matches_reference(g, params):
+    cert = check_local_sparsity(g, params, mode="peeling")
+    assert (cert.verdict, cert.witness) == peeling_certificate(
+        g, params.beta, params.n_threshold
+    )
+
+
+@given(
+    graphs(max_n=14),
+    st.fractions(min_value=0, max_value=1, max_denominator=12),
+    st.integers(min_value=1, max_value=16),
+)
+@settings(max_examples=150)
+def test_peeling_matches_rescanning_reference(g, beta, threshold):
+    _assert_peeling_matches_reference(g, SparsityParams(beta, threshold))
+
+
+@pytest.mark.parametrize("n", WORD_EDGE_SIZES)
+def test_peeling_matches_rescanning_reference_at_word_edges(n):
+    for g in word_edge_graphs(n):
+        for beta, threshold in [(Fraction(1, 10), 2), (Fraction(1, 20), 5),
+                                (Fraction(1, 2), 12), (Fraction(1), 1),
+                                (Fraction(0), n)]:
+            _assert_peeling_matches_reference(g, SparsityParams(beta, threshold))
 
 
 @given(graphs(max_n=9))

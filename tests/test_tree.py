@@ -12,6 +12,7 @@ from clique_census import (
     RootedSubtree,
     build_tree,
     census,
+    census_of_subset,
     count_cliques,
     enumerate_cliques,
     induced_subgraph,
@@ -64,6 +65,8 @@ def test_count_matches_tree_node_count(g):
     tree = build_tree(g)
     assert tree.node_count == count_cliques(g)
     assert list(tree.census_counts()) == list(census(g).counts)
+    # the pivot kernel on the whole graph, without the root split
+    assert census_of_subset(g, g.full_mask(), "pure") == tree.census_counts()
 
 
 @given(graphs(max_n=8))
@@ -187,6 +190,8 @@ def test_root_split_at_word_edges(n):
             assert list(census(g, threads=threads).counts) == expected
         assert count_cliques(g) == sum(expected)
         tree = build_tree(g)
+        assert tree.census_counts() == expected
+        assert census_of_subset(g, g.full_mask(), "pure") == expected
         _assert_public_enumeration(g, tree)
         # root children follow the peel; each label is the later neighbours
         order = degeneracy(g).ordering
