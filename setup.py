@@ -1,20 +1,6 @@
-"""Build glue for the optional compiled kernel.
+"""Build glue: the package is pure Python, so `build_ext --inplace` builds
+nothing and succeeds; project metadata lives in pyproject.toml."""
 
-The package is fully functional without the extension; when Cython and a C
-compiler are available the bitset traversal kernel is compiled and picked up
-at import time.
-"""
+from setuptools import setup
 
-from setuptools import Extension, setup
-
-try:
-    from Cython.Build import cythonize
-
-    extensions = cythonize(
-        [Extension("clique_census._kernel", ["src/clique_census/_kernel.pyx"])],
-        language_level="3",
-    )
-except ImportError:
-    extensions = []
-
-setup(ext_modules=extensions)
+setup()

@@ -1,9 +1,10 @@
 """Clique counting and enumeration for sparse graphs.
 
-Exact streaming clique censuses via a min-degree search tree, local
-sparsity certificates, topological containment oracles for small graphs,
-extremal construction generators, and audits of the clique-count bounds
-those pieces combine into.
+Exact clique censuses from one pure-Python pivot-counting kernel, run on
+the local graph of each root child of a min-degree search tree;
+enumeration over that tree; local sparsity certificates, topological
+containment oracles for small graphs, extremal construction generators,
+and audits of the clique-count bounds those pieces combine into.
 """
 
 from .backend import available_backends, census_of_subset, default_backend

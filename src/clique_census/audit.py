@@ -17,7 +17,6 @@ from math import comb, e, log, log2, sqrt
 
 from mpmath import mp
 
-from . import backend as _backend
 from .errors import ExtractionError
 from .graph import DegeneracyResult, Graph, degeneracy, induced_subgraph
 from .subdivision import (
@@ -249,7 +248,6 @@ def build_skeleton(g: Graph, t: int,
     """
     if t < 1:
         raise ValueError("skeleton rule needs t >= 1")
-    backend = _backend.resolve_backend(None)
     nodes: list[SkeletonNode | None] = []
 
     def walk(index, depth, label_size, chosen, children) -> int:
@@ -263,7 +261,7 @@ def build_skeleton(g: Graph, t: int,
             if enters:
                 size = walk(next_index, depth + 1, s, v, _label_children(g, label))
             else:
-                size = sum(_local_census(g, label, backend))
+                size = sum(_local_census(g, label))
             vertices.append(v)
             label_sizes.append(s)
             sizes.append(size)
@@ -694,11 +692,9 @@ def audit_graph(g: Graph, cfg: AuditConfig) -> AuditReport:
     skeleton = build_skeleton(g, t, peel)
     count = skeleton.tree_size
     if count > cfg.node_cap:
-        # the tree has `count` nodes; the note keeps the wording of a
-        # tree builder that stopped at the cap
         report.notes.append(
             f"clique tree exceeds node cap {cfg.node_cap} "
-            f"(partial count {cfg.node_cap}); structural audits skipped"
+            f"({count} nodes); structural audits skipped"
         )
         report.checks.append(_headline_check(count, t, g.n))
         report.checks.append(_degenerate_check(count, d, g.n))

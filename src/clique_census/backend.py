@@ -1,67 +1,96 @@
-"""Kernel selection: compiled extension when importable, pure Python otherwise.
+"""The census kernel: per-size clique counts of an induced subgraph.
 
-The environment variable CLIQUE_CENSUS_BACKEND ("compiled" or "pure") forces
-a choice; asking for the compiled kernel when it is not built is an error.
+Candidate sets are Python ints used as bitmasks, so any vertex count works.
+The census does not visit each clique. It walks a pivoting tree (Jain and
+Seshadhri, "The Power of Pivoting for Exact Clique Counting", WSDM 2020):
+every leaf stands for a set of h held vertices, which each of its cliques
+contains, and p pivots, which each of its cliques may or may not contain,
+so a leaf counts C(p, k) cliques of size h + k. Counts are exact Python
+ints, so they never overflow.
+
+Enumeration, build_tree and the audit's skeleton still walk the min-degree
+clique tree, one node per clique; they are the independent reference for
+these counts.
+
+There is one kernel, named "pure". The `backend` arguments accept None or
+"pure" and reject every other name with ValueError.
 """
 
 from __future__ import annotations
 
-import os
-from array import array
+from math import comb
 
-from . import _kernel_py
 from .graph import check_mask
-
-try:
-    from . import _kernel  # type: ignore[attr-defined]
-except ImportError:
-    _kernel = None
-
-_WORD_MASK = (1 << 64) - 1
 
 
 def available_backends() -> tuple[str, ...]:
-    return ("compiled", "pure") if _kernel is not None else ("pure",)
+    return ("pure",)
 
 
 def default_backend() -> str:
-    forced = os.environ.get("CLIQUE_CENSUS_BACKEND", "").strip().lower()
-    if forced:
-        return resolve_backend(forced)
-    return "compiled" if _kernel is not None else "pure"
+    return "pure"
 
 
-def resolve_backend(backend: str | None) -> str:
-    """The backend a request selects; None means the default."""
-    if backend is None:
-        return default_backend()
-    if backend not in ("compiled", "pure"):
+def check_backend(backend: str | None) -> None:
+    """Raise ValueError unless backend names the one kernel; None does."""
+    if backend not in (None, "pure"):
         raise ValueError(f"unknown backend {backend!r}")
-    if backend == "compiled" and _kernel is None:
-        raise ValueError("compiled backend requested but not built")
-    return backend
-
-
-def releases_gil(backend: str) -> bool:
-    """Whether the backend's kernel runs without the interpreter lock, so
-    that jobs on several threads actually overlap."""
-    return backend == "compiled"
 
 
 def census_of_subset(g, start_mask: int, backend: str | None = None) -> list[int]:
     """Per-size clique counts of the subgraph of g induced on start_mask.
 
-    counts[k] is the number of k-cliques, which is also the number of
-    depth-k nodes of the min-degree clique tree below that candidate set.
-    The pure kernel counts them by pivoting, without visiting each clique;
-    the compiled kernel walks that tree with uint64 counters. Raises
-    ValueError for a negative mask or one with bits at or above g.n.
+    counts[k] is the number of k-cliques; counts[0] == 1 for the empty
+    clique. Trailing zero entries are trimmed. These are also the per-depth
+    node counts of the min-degree clique tree below that candidate set.
+    Raises ValueError for a negative mask, one with bits at or above g.n,
+    or an unknown backend.
+
+    At a candidate set S the pivot u is the candidate with the most
+    neighbours in S (smallest id on ties). One branch keeps u as a pivot and
+    recurses on S & N(u); then each non-neighbour v of u in S, in increasing
+    id order, is held and recurses on S & N(v) minus the non-neighbours
+    before it. Every clique of S lies in exactly one branch. A candidate set
+    that is itself a clique ends its branch with all its vertices as pivots,
+    which is the leaf the pivot chain below it would reach.
     """
     check_mask(g, start_mask)
-    if resolve_backend(backend) == "pure":
-        return _kernel_py.census_of_subset(g.bits, start_mask)
-    if g.n == 0:
-        return [1]
-    w, adj = g.packed_words()
-    start = array("Q", [(start_mask >> (64 * i)) & _WORD_MASK for i in range(w)])
-    return _kernel.census_of_words(adj, start, g.n, w)
+    check_backend(backend)
+    bits = g.bits
+    leaves: dict[tuple[int, int], int] = {}  # (held, pivots) -> leaf count
+    stack = [(start_mask, 0, 0)]
+    while stack:
+        cand, held, pivots = stack.pop()
+        size = cand.bit_count()
+        best_v = -1
+        best_deg = -1
+        low_deg = size
+        m = cand
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            deg = (bits[v] & cand).bit_count()
+            if deg > best_deg:
+                best_deg = deg
+                best_v = v
+            if deg < low_deg:
+                low_deg = deg
+            m ^= low
+        if low_deg >= size - 1:
+            key = (held, pivots + size)
+            leaves[key] = leaves.get(key, 0) + 1
+            continue
+        pivot_nbrs = bits[best_v] & cand
+        stack.append((pivot_nbrs, held, pivots + 1))
+        m = cand ^ pivot_nbrs ^ (1 << best_v)
+        rest = cand
+        while m:
+            low = m & -m
+            rest ^= low
+            stack.append((bits[low.bit_length() - 1] & rest, held + 1, pivots))
+            m ^= low
+    counts = [0] * (max(h + p for h, p in leaves) + 1)
+    for (h, p), c in leaves.items():
+        for k in range(p + 1):
+            counts[h + k] += c * comb(p, k)
+    return counts

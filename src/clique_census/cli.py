@@ -24,7 +24,6 @@ from .audit import (
     check_binom_sum_inequality,
     refined_exponents,
 )
-from .backend import available_backends
 from .constructions import (
     generate,
     lower_bound_constant,
@@ -106,13 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=None,
-            help="worker threads (default: CLIQUE_CENSUS_THREADS or 1)",
-        )
-        p.add_argument(
-            "--backend",
-            choices=available_backends(),
-            default=None,
-            help="census kernel selection (default: best available)",
+            help="worker threads, accepted and without effect "
+            "(default: CLIQUE_CENSUS_THREADS or 1)",
         )
 
     p = sub.add_parser("count", help="total clique count, empty clique included")
@@ -254,7 +248,7 @@ def _config_dict(args, extra: dict | None = None) -> dict:
         if hasattr(args, key):
             cfg[key] = getattr(args, key)
     if hasattr(args, "threads"):
-        cfg["threads"] = _resolve_threads(args)
+        cfg["threads"] = args.threads
     if extra:
         cfg.update(extra)
     return cfg
@@ -283,8 +277,7 @@ def _emit_json(args, payload: dict) -> None:
 
 def _cmd_count(args) -> int:
     g, _ = _resolve_graph(args)
-    threads = _resolve_threads(args)
-    total = count_cliques(g, threads=threads, backend=args.backend)
+    total = count_cliques(g, threads=args.threads)
     if args.format == "json":
         _emit_json(args, {"config": _config_dict(args), "count": str(total)})
     else:
@@ -294,8 +287,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_census(args) -> int:
     g, _ = _resolve_graph(args)
-    threads = _resolve_threads(args)
-    result = census(g, threads=threads, backend=args.backend)
+    result = census(g, threads=args.threads)
     if args.format == "json":
         _emit_json(
             args,
@@ -570,6 +562,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else EXIT_USAGE
     try:
+        if hasattr(args, "threads"):
+            args.threads = _resolve_threads(args)
         return _DISPATCH[args.command](args)
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)

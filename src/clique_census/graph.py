@@ -1,7 +1,7 @@
 """Immutable undirected simple graphs over vertex ids 0..n-1.
 
 Adjacency is kept both as frozensets (for iteration) and as Python int
-bitmasks (for the counting kernels; arbitrary precision, so there is no
+bitmasks (for the census kernel; arbitrary precision, so there is no
 width cap). Vertices are always addressed by id; induced subgraphs relabel
 to 0..k-1 preserving the relative order of the surviving ids, which keeps
 min-degree tie-breaking consistent between a graph and its subgraphs.
@@ -10,19 +10,16 @@ min-degree tie-breaking consistent between a graph and its subgraphs.
 from __future__ import annotations
 
 import heapq
-from array import array
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .errors import GraphParseError
 
-_WORD_MASK = (1 << 64) - 1
-
 
 class Graph:
     """Undirected simple graph with a fixed vertex count."""
 
-    __slots__ = ("n", "adj", "bits", "_edge_count", "_words")
+    __slots__ = ("n", "adj", "bits", "_edge_count")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -48,7 +45,6 @@ class Graph:
             bits.append(m)
         self.bits: tuple[int, ...] = tuple(bits)
         self._edge_count = count
-        self._words: tuple[int, array] | None = None
 
     @property
     def edge_count(self) -> int:
@@ -74,18 +70,6 @@ class Graph:
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1
-
-    def packed_words(self) -> tuple[int, array]:
-        """Adjacency as a flat row-major array of 64-bit words, cached."""
-        if self._words is None:
-            w = max(1, (self.n + 63) // 64)
-            flat = array("Q", bytes(8 * w * max(1, self.n)))
-            for v in range(self.n):
-                m = self.bits[v]
-                for i in range(w):
-                    flat[v * w + i] = (m >> (64 * i)) & _WORD_MASK
-            self._words = (w, flat)
-        return self._words
 
     def __eq__(self, other) -> bool:
         return (

@@ -14,10 +14,9 @@ subtree is the tree of G[L_v] with ids relabelled in order. Census and
 enumeration run on these local graphs, so each step below the root costs
 time in the size of a local subproblem, not in n.
 
-Counting and census run through the selected kernel backend, one job per
-root child, and never materialize nodes: the pure kernel counts each
-child's cliques by pivoting, without visiting them, and the compiled one
-walks the child's subtree. Enumeration walks the subtrees one node per
+Counting and census run the census kernel once per root child and never
+materialize nodes: the kernel counts each child's cliques by pivoting,
+without visiting them. Enumeration walks the subtrees one node per
 clique. build_tree materializes the node structure for inspection,
 subject to a node cap, and descends on global ids, which makes it an
 independent check of the local descents and of the pivot census.
@@ -25,8 +24,6 @@ independent check of the local descents and of the pivot census.
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator, NamedTuple
@@ -219,27 +216,9 @@ def _local_graph(g: Graph, label: int) -> tuple[Graph, tuple[int, ...]]:
     return induced_subgraph(g, mask_vertices(label))
 
 
-def _local_census(g: Graph, label: int, backend: str) -> list[int]:
+def _local_census(g: Graph, label: int) -> list[int]:
     local, _ = _local_graph(g, label)
-    return _backend.census_of_subset(local, local.full_mask(), backend)
-
-
-def _child_censuses(g: Graph, threads: int, backend: str) -> Iterator[list[int]]:
-    """The census of each root child's subtree, in root-child order."""
-    jobs = _root_children(g)
-    if threads <= 1 or not _backend.releases_gil(backend):
-        for _, label in jobs:
-            yield _local_census(g, label, backend)
-        return
-    # at most a few jobs in flight per thread, never one future per child
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending: deque = deque()
-        for _, label in jobs:
-            pending.append(pool.submit(_local_census, g, label, backend))
-            if len(pending) >= 4 * threads:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+    return _backend.census_of_subset(local, local.full_mask())
 
 
 def census(g: Graph, threads: int = 1, backend: str | None = None) -> CliqueCensus:
@@ -248,17 +227,17 @@ def census(g: Graph, threads: int = 1, backend: str | None = None) -> CliqueCens
     Depth-k tree nodes are exactly the k-cliques, so the census is also
     the per-depth node count of the tree. The list is trimmed after the
     last nonzero entry. The work is always split at the root, one kernel
-    job per root child on its local graph of at most d vertices; the pure
+    job per root child on its local graph of at most d vertices; the
     kernel counts each job's cliques by pivoting, in exact integers,
-    without visiting each clique, and the compiled kernel walks the job's
-    subtree.
-    With threads > 1 the jobs run on a thread pool only when the backend
-    releases the interpreter lock (the compiled one); the pure kernel
-    holds it, so its jobs run one after another whatever threads says.
+    without visiting each clique.
+    `threads` is accepted and has no effect: the jobs run one after
+    another. `backend` may be None or "pure", the one kernel; any other
+    value raises ValueError.
     """
-    backend = _backend.resolve_backend(backend)
+    _backend.check_backend(backend)
     counts = [1]
-    for res in _child_censuses(g, threads, backend):
+    for _, label in _root_children(g):
+        res = _local_census(g, label)
         if len(counts) <= len(res):
             counts.extend([0] * (len(res) + 1 - len(counts)))
         for d, c in enumerate(res, start=1):
@@ -267,7 +246,8 @@ def census(g: Graph, threads: int = 1, backend: str | None = None) -> CliqueCens
 
 
 def count_cliques(g: Graph, threads: int = 1, backend: str | None = None) -> int:
-    """Total number of cliques of g, the empty clique included."""
+    """Total number of cliques of g, the empty clique included; the
+    arguments are as for census."""
     return census(g, threads=threads, backend=backend).total
 
 

@@ -413,7 +413,7 @@ def test_node_caps_compare_like_build_tree():
         notes = " ".join(report.notes)
         assert ("structural audits skipped" in notes) == skipped
         if skipped:
-            assert f"(partial count {cap})" in notes
+            assert f"({2**14} nodes)" in notes
         else:
             assert "skeleton-size" in checks_by_name(report)
     for cap, skipped in ((2**20, False), (2**20 - 1, True)):

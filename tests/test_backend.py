@@ -1,12 +1,12 @@
-"""Kernel backend selection and agreement."""
+"""The census kernel: backend names, agreement and subset censuses."""
 
+import random
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from clique_census import backend as backend_module
 from clique_census import (
     Graph,
     available_backends,
@@ -21,13 +21,12 @@ from clique_census import (
 from clique_census.graph import mask_vertices
 
 from brute import brute_census, extension_census
-from strategies import graphs, word_edge_graphs
+from strategies import WORD_EDGE_SIZES, graphs, word_edge_graphs
 
 
 def test_backend_listing():
-    names = available_backends()
-    assert "pure" in names
-    assert default_backend() in names
+    assert available_backends() == ("pure",)
+    assert default_backend() == "pure"
 
 
 @given(graphs())
@@ -87,20 +86,28 @@ def test_pivot_census_of_multipartite_closed_form():
     assert result.total == 3**k
 
 
-def test_thread_pool_path_agrees(monkeypatch):
-    # the pure kernel holds the interpreter lock, so census runs its jobs
-    # serially; pretend it does not, to drive the bounded pool with it
-    monkeypatch.setattr(backend_module, "releases_gil", lambda name: True)
-    for g in word_edge_graphs(129):
-        expected = extension_census(g)
-        for threads in (2, 3):
-            assert list(census(g, threads=threads, backend="pure").counts) == expected
+@pytest.mark.parametrize("n", WORD_EDGE_SIZES)
+def test_census_of_subset_multiword_masks(n):
+    rng = random.Random(n)
+    for g in word_edge_graphs(n):
+        masks = [rng.getrandbits(n) for _ in range(3)]
+        masks.append(rng.getrandbits(n) & rng.getrandbits(n))
+        # the top ids, where the hub graph's 10-clique sits
+        masks.append(((1 << 16) - 1) << (n - 16))
+        if n > 64:
+            # bits only above bit 63, so the low word is empty
+            masks += [rng.getrandbits(n - 64) << 64 for _ in range(2)]
+        for mask in masks:
+            sub, _ = induced_subgraph(g, mask_vertices(mask))
+            assert census_of_subset(g, mask) == extension_census(sub)
 
 
 def test_unknown_backend_rejected():
-    from clique_census import Graph
-
-    with pytest.raises(ValueError):
-        census(Graph(2, [(0, 1)]), backend="nosuch")
-    with pytest.raises(ValueError):
-        census(Graph(0, []), backend="nosuch")
+    g = Graph(2, [(0, 1)])
+    for name in ("nosuch", "compiled"):
+        with pytest.raises(ValueError):
+            census(g, backend=name)
+        with pytest.raises(ValueError):
+            census(Graph(0, []), backend=name)
+        with pytest.raises(ValueError):
+            census_of_subset(g, g.full_mask(), name)

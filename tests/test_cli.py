@@ -247,6 +247,23 @@ def test_threads_env_fallback(capsys, monkeypatch):
     assert "CLIQUE_CENSUS_THREADS" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["generate", "census", "bounds"])
+def test_thread_count_checked_in_every_format(capsys, monkeypatch, command, fmt):
+    argv = [command, "--format", fmt]
+    if command == "bounds":
+        argv += ["--degenerate", "2", "5"]
+    else:
+        argv += ["--construct", "complete:n=3"]
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setenv("CLIQUE_CENSUS_THREADS", "soon")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "CLIQUE_CENSUS_THREADS" in err
+    monkeypatch.delenv("CLIQUE_CENSUS_THREADS")
+    assert run(capsys, *argv, "--threads", "0")[0] == 2
+
+
 def test_usage_errors_exit_2(capsys, tmp_path):
     assert run(capsys, "count")[0] == 2
     f = tmp_path / "g.txt"
@@ -514,19 +531,3 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "144\n"
-
-
-def test_backend_flag(capsys):
-    from clique_census import available_backends
-
-    for backend in available_backends():
-        code, out, _ = run(
-            capsys,
-            "count",
-            "--construct",
-            "complete:n=10",
-            "--backend",
-            backend,
-        )
-        assert code == 0
-        assert out == "1024\n"
