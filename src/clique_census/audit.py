@@ -18,7 +18,8 @@ from math import comb, e, log, log2, sqrt
 from mpmath import mp
 
 from .errors import ExtractionError
-from .graph import DegeneracyResult, Graph, degeneracy, induced_subgraph
+from . import backend as _backend
+from .graph import DegeneracyResult, Graph, degeneracy, induced_subgraph, rows
 from .subdivision import (
     DEFAULT_SUBDIVISION_LIMIT,
     extract_subdivision_dense,
@@ -28,7 +29,6 @@ from .subdivision import (
 from .tree import (
     DEFAULT_NODE_CAP,
     _label_children,
-    _local_census,
     _root_children,
     count_cliques,
 )
@@ -242,26 +242,33 @@ def build_skeleton(g: Graph, t: int,
     """Walk the skeleton of g's clique search tree top-down.
 
     Root children come from the min-degree peel (pass `peel` when g is
-    already peeled), deeper children from the min-degree descent.  Each
-    child outside the skeleton roots the tree of G[its label], so its
-    subtree is sized by one kernel census of that label and never walked.
+    already peeled).  Below root child v the walk runs on the rows of
+    G[v's label], relabelled in order, and maps ids back, as census and
+    enumeration do.  Each child outside the skeleton roots the tree of
+    G[its label], so its subtree is sized by one kernel census of that
+    label on the same rows and never walked.
     """
     if t < 1:
         raise ValueError("skeleton rule needs t >= 1")
     nodes: list[SkeletonNode | None] = []
+
+    def local(bits, ids, label):
+        """The children of `label`, a mask over the rows `bits` of G[ids]."""
+        for u, child in _label_children(bits, label):
+            yield ids[u], bits, ids, child
 
     def walk(index, depth, label_size, chosen, children) -> int:
         slot = len(nodes)
         nodes.append(None)  # keeps preorder; filled once the children are sized
         vertices, label_sizes, sizes, inside = [], [], [], []
         next_index = index + 1
-        for v, label in children:
+        for v, bits, ids, label in children:
             s = label.bit_count()
             enters = s * s >= 10 * t * t and 10 * s < 9 * label_size
             if enters:
-                size = walk(next_index, depth + 1, s, v, _label_children(g, label))
+                size = walk(next_index, depth + 1, s, v, local(bits, ids, label))
             else:
-                size = sum(_local_census(g, label))
+                size = sum(_backend.census_of_subset(bits, label))
             vertices.append(v)
             label_sizes.append(s)
             sizes.append(size)
@@ -272,7 +279,10 @@ def build_skeleton(g: Graph, t: int,
                                    tuple(inside))
         return next_index - index
 
-    walk(0, 0, g.n, None, _root_children(g, peel))
+    walk(0, 0, g.n, None, (
+        (v, rows(g, ids), ids, (1 << len(ids)) - 1)
+        for v, ids in _root_children(g, peel)
+    ))
     return Skeleton(nodes=tuple(nodes), height=max(node.depth for node in nodes))
 
 
@@ -325,6 +335,7 @@ def _largest_label_at_depth(g: Graph, depth: int) -> int:
     """Largest label size among g's clique-tree nodes at the given depth.
 
     Walks the tree down to that depth only."""
+    bits = rows(g)
     worst = 0
     stack = [(g.full_mask(), 0)]
     while stack:
@@ -332,7 +343,7 @@ def _largest_label_at_depth(g: Graph, depth: int) -> int:
         if d == depth:
             worst = max(worst, label.bit_count())
             continue
-        stack.extend((child, d + 1) for _, child in _label_children(g, label))
+        stack.extend((child, d + 1) for _, child in _label_children(bits, label))
     return worst
 
 

@@ -1,6 +1,7 @@
 """The census kernel: per-size clique counts of an induced subgraph.
 
-Candidate sets are Python ints used as bitmasks, so any vertex count works.
+The kernel reads a graph as bit rows (graph.rows), and candidate sets are
+Python ints used as bitmasks over those rows, so any vertex count works.
 The census does not visit each clique. It walks a pivoting tree (Jain and
 Seshadhri, "The Power of Pivoting for Exact Clique Counting", WSDM 2020):
 every leaf stands for a set of h held vertices, which each of its cliques
@@ -37,14 +38,15 @@ def check_backend(backend: str | None) -> None:
         raise ValueError(f"unknown backend {backend!r}")
 
 
-def census_of_subset(g, start_mask: int, backend: str | None = None) -> list[int]:
-    """Per-size clique counts of the subgraph of g induced on start_mask.
+def census_of_subset(bits, start_mask: int, backend: str | None = None) -> list[int]:
+    """Per-size clique counts of the subgraph induced on start_mask, in the
+    graph whose adjacency rows are `bits`.
 
     counts[k] is the number of k-cliques; counts[0] == 1 for the empty
     clique. Trailing zero entries are trimmed. These are also the per-depth
     node counts of the min-degree clique tree below that candidate set.
-    Raises ValueError for a negative mask, one with bits at or above g.n,
-    or an unknown backend.
+    Raises ValueError for a negative mask, one with bits at or above
+    len(bits), or an unknown backend.
 
     At a candidate set S the pivot u is the candidate with the most
     neighbours in S (smallest id on ties). One branch keeps u as a pivot and
@@ -54,9 +56,8 @@ def census_of_subset(g, start_mask: int, backend: str | None = None) -> list[int
     that is itself a clique ends its branch with all its vertices as pivots,
     which is the leaf the pivot chain below it would reach.
     """
-    check_mask(g, start_mask)
+    check_mask(len(bits), start_mask)
     check_backend(backend)
-    bits = g.bits
     leaves: dict[tuple[int, int], int] = {}  # (held, pivots) -> leaf count
     stack = [(start_mask, 0, 0)]
     while stack:

@@ -101,13 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
             default="text",
             help="output format (default text)",
         )
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="worker threads, accepted and without effect "
-            "(default: CLIQUE_CENSUS_THREADS or 1)",
-        )
 
     p = sub.add_parser("count", help="total clique count, empty clique included")
     add_common(p)
@@ -195,22 +188,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        threads = args.threads
-    else:
-        raw = os.environ.get("CLIQUE_CENSUS_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise _UsageError(
-                f"CLIQUE_CENSUS_THREADS must be an integer, got {raw!r}"
-            )
-    if threads < 1:
-        raise _UsageError("thread count must be at least 1")
-    return threads
-
-
 def _resolve_graph(args) -> tuple[Graph, str]:
     """Load the input graph; returns (graph, description-for-config)."""
     construct = getattr(args, "construct", None)
@@ -247,8 +224,6 @@ def _config_dict(args, extra: dict | None = None) -> dict:
     for key in ("t", "node_cap", "oracle_limit", "exhaustive_limit", "mode"):
         if hasattr(args, key):
             cfg[key] = getattr(args, key)
-    if hasattr(args, "threads"):
-        cfg["threads"] = args.threads
     if extra:
         cfg.update(extra)
     return cfg
@@ -277,7 +252,7 @@ def _emit_json(args, payload: dict) -> None:
 
 def _cmd_count(args) -> int:
     g, _ = _resolve_graph(args)
-    total = count_cliques(g, threads=args.threads)
+    total = count_cliques(g)
     if args.format == "json":
         _emit_json(args, {"config": _config_dict(args), "count": str(total)})
     else:
@@ -287,7 +262,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_census(args) -> int:
     g, _ = _resolve_graph(args)
-    result = census(g, threads=args.threads)
+    result = census(g)
     if args.format == "json":
         _emit_json(
             args,
@@ -562,8 +537,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else EXIT_USAGE
     try:
-        if hasattr(args, "threads"):
-            args.threads = _resolve_threads(args)
         return _DISPATCH[args.command](args)
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)

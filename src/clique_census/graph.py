@@ -1,10 +1,13 @@
 """Immutable undirected simple graphs over vertex ids 0..n-1.
 
-Adjacency is kept both as frozensets (for iteration) and as Python int
-bitmasks (for the census kernel; arbitrary precision, so there is no
-width cap). Vertices are always addressed by id; induced subgraphs relabel
-to 0..k-1 preserving the relative order of the surviving ids, which keeps
-min-degree tie-breaking consistent between a graph and its subgraphs.
+A graph stores its adjacency once, as one frozenset of neighbours per
+vertex, so it takes O(n + m) memory. The census kernel and the min-degree
+descents read bit rows instead (Python ints, so there is no width cap);
+rows(g, vertices) builds them for one induced subgraph at a time.
+Vertices are always addressed by id; induced subgraphs and their rows
+relabel to 0..k-1 preserving the relative order of the surviving ids,
+which keeps min-degree tie-breaking consistent between a graph and its
+subgraphs.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .errors import GraphParseError
 class Graph:
     """Undirected simple graph with a fixed vertex count."""
 
-    __slots__ = ("n", "adj", "bits", "_edge_count")
+    __slots__ = ("n", "adj", "_edge_count")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -37,13 +40,6 @@ class Graph:
                 neigh[v].add(u)
                 count += 1
         self.adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in neigh)
-        bits = []
-        for s in neigh:
-            m = 0
-            for v in s:
-                m |= 1 << v
-            bits.append(m)
-        self.bits: tuple[int, ...] = tuple(bits)
         self._edge_count = count
 
     @property
@@ -73,11 +69,11 @@ class Graph:
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, Graph) and self.n == other.n and self.bits == other.bits
+            isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.bits))
+        return hash((self.n, self.adj))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self._edge_count})"
@@ -135,12 +131,16 @@ def parse_dimacs(text: str) -> Graph:
             continue
         parts = line.split()
         if parts[0] == "p":
+            if n is not None:
+                raise GraphParseError("second problem line", line_no)
             if len(parts) != 4 or parts[1] not in ("edge", "edges", "col"):
                 raise GraphParseError(f"bad problem line {line!r}", line_no)
             try:
                 n = int(parts[2])
             except ValueError:
                 raise GraphParseError(f"bad problem line {line!r}", line_no)
+            if n < 0:
+                raise GraphParseError("vertex count must be nonnegative", line_no)
             continue
         if parts[0] == "e":
             if n is None:
@@ -220,10 +220,32 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     return Graph(len(new_to_old), edges), new_to_old
 
 
-def check_mask(g: Graph, mask: int) -> None:
-    """Raise ValueError unless mask is a set of vertices of g as a bitmask."""
-    if mask < 0 or mask >> g.n:
-        raise ValueError(f"mask has bits outside vertex ids 0..{g.n - 1}")
+def rows(g: Graph, vertices: Iterable[int] | None = None) -> list[int]:
+    """Bit rows of G[vertices], relabelled to 0..k-1 in sorted id order.
+
+    Bit j of row i is set when the i-th and j-th smallest kept ids are
+    adjacent; None keeps every vertex. Each row intersects a kept vertex's
+    neighbours with the kept set, which walks the smaller side, so a hub
+    costs only the size of the kept set.
+    """
+    keep = range(g.n) if vertices is None else sorted(set(vertices))
+    if keep and not (0 <= keep[0] and keep[-1] < g.n):
+        raise ValueError(f"vertex ids outside 0..{g.n - 1}")
+    pos = {v: i for i, v in enumerate(keep)}
+    kept = frozenset(keep)
+    out = []
+    for v in keep:
+        row = 0
+        for u in g.adj[v] & kept:
+            row |= 1 << pos[u]
+        out.append(row)
+    return out
+
+
+def check_mask(n: int, mask: int) -> None:
+    """Raise ValueError unless mask is a set of ids in 0..n-1 as a bitmask."""
+    if mask < 0 or mask >> n:
+        raise ValueError(f"mask has bits outside vertex ids 0..{n - 1}")
 
 
 def min_degree_in(bits, mask: int) -> int:
@@ -257,19 +279,16 @@ def min_degree_vertex(g: Graph, vertices: Iterable[int] | int | None = None) -> 
     mask bits outside 0..n-1.
     """
     if vertices is None:
-        mask = g.full_mask()
+        ids = range(g.n)
     elif isinstance(vertices, int):
-        check_mask(g, vertices)
-        mask = vertices
+        check_mask(g.n, vertices)
+        ids = mask_vertices(vertices)
     else:
-        mask = 0
-        for v in vertices:
-            if not (0 <= v < g.n):
-                raise ValueError(f"vertex {v} out of range")
-            mask |= 1 << v
-    if mask == 0:
+        ids = sorted(set(vertices))
+    if not ids:
         raise ValueError("vertex set is empty")
-    return min_degree_in(g.bits, mask)
+    # rows relabel in sorted order, so the local tie-break is the global one
+    return ids[min_degree_in(rows(g, ids), (1 << len(ids)) - 1)]
 
 
 class DegeneracyResult(NamedTuple):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import OracleLimitError
-from .graph import Graph, degeneracy, mask_vertices
+from .graph import Graph, degeneracy, mask_vertices, rows
 
 DEFAULT_EXHAUSTIVE_LIMIT = 22
 
@@ -58,14 +58,14 @@ class SparsityCertificate:
         }
 
 
-def _has_low_degree_vertex(g: Graph, mask: int, size: int, beta: Fraction) -> bool:
+def _has_low_degree_vertex(bits, mask: int, size: int, beta: Fraction) -> bool:
     # some v in X with deg_X(v) <= beta * |X|, compared exactly
     p, q = beta.numerator, beta.denominator
     m = mask
     while m:
         low = m & -m
         v = low.bit_length() - 1
-        deg = (g.bits[v] & mask).bit_count()
+        deg = (bits[v] & mask).bit_count()
         if deg * q <= p * size:
             return True
         m ^= low
@@ -93,11 +93,12 @@ def check_local_sparsity(
                 f"exhaustive sparsity scan limited to {exhaustive_limit} vertices, "
                 f"got {g.n}"
             )
+        bits = rows(g)
         for mask in range(1, 1 << g.n):
             size = mask.bit_count()
             if size < threshold:
                 continue
-            if not _has_low_degree_vertex(g, mask, size, beta):
+            if not _has_low_degree_vertex(bits, mask, size, beta):
                 return SparsityCertificate(
                     "violated", "exhaustive", params, frozenset(mask_vertices(mask))
                 )

@@ -16,7 +16,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import ExtractionError, OracleLimitError
-from .graph import Graph
+from .graph import Graph, rows
 
 DEFAULT_SUBDIVISION_LIMIT = 16
 DEFAULT_MINOR_LIMIT = 14
@@ -84,12 +84,12 @@ def verify_witness(g: Graph, w: SubdivisionWitness, t: int) -> bool:
                 return False
             used_internal.add(v)
         for a, b in zip(path, path[1:]):
-            if not (g.bits[a] >> b) & 1:
+            if not g.has_edge(a, b):
                 return False
     return seen == want
 
 
-def _find_clique(bits: tuple[int, ...], candidates: list[int], k: int):
+def _find_clique(bits: list[int], candidates: list[int], k: int):
     """First k-clique within candidates as an ascending tuple, else None."""
     if k == 0:
         return ()
@@ -153,7 +153,7 @@ def _assign_paths(bits, pairs, idx, free, acc):
     return None
 
 
-def _route(g: Graph, branch: tuple[int, ...]):
+def _route(bits, branch: tuple[int, ...]):
     """Try to realize a subdivision on a fixed branch set.
 
     Adjacent branch pairs always take their direct edge: swapping a long
@@ -161,11 +161,10 @@ def _route(g: Graph, branch: tuple[int, ...]):
     solutions.  Non-adjacent pairs are routed fail-first, fewest common
     free neighbors first.
     """
-    bits = g.bits
     bmask = 0
     for v in branch:
         bmask |= 1 << v
-    free = g.full_mask() & ~bmask
+    free = ((1 << len(bits)) - 1) & ~bmask
     open_pairs = [
         (u, v)
         for u, v in combinations(branch, 2)
@@ -200,8 +199,8 @@ def has_subdivision(
         return SubdivisionWitness((0,), ()) if g.n >= 1 else None
     if t == 2:
         for u in range(g.n):
-            if g.bits[u]:
-                v = (g.bits[u] & -g.bits[u]).bit_length() - 1
+            if g.adj[u]:
+                v = min(g.adj[u])
                 return SubdivisionWitness((u, v), ((u, v),))
         return None
     if g.n > oracle_limit:
@@ -213,23 +212,24 @@ def has_subdivision(
     candidates = [v for v in range(g.n) if len(g.adj[v]) >= t - 1]
     if len(candidates) < t:
         return None
-    clique = _find_clique(g.bits, candidates, t)
+    bits = rows(g)
+    clique = _find_clique(bits, candidates, t)
     if clique is not None:
         return SubdivisionWitness(
             clique, tuple(combinations(clique, 2))
         )
     for branch in combinations(candidates, t):
-        witness = _route(g, branch)
+        witness = _route(bits, branch)
         if witness is not None:
             return witness
     return None
 
 
-def _connected_subsets(g: Graph) -> list[int]:
-    """All nonempty vertex subsets inducing a connected subgraph, as masks."""
-    bits = g.bits
+def _connected_subsets(bits) -> list[int]:
+    """All nonempty vertex subsets inducing a connected subgraph, as masks,
+    of the graph whose adjacency rows are `bits`."""
     out = []
-    for mask in range(1, 1 << g.n):
+    for mask in range(1, 1 << len(bits)):
         low = mask & -mask
         seen = low
         frontier = low
@@ -267,17 +267,16 @@ def has_minor(g: Graph, t: int, oracle_limit: int = DEFAULT_MINOR_LIMIT):
         return None
     if t == 2:
         for u in range(g.n):
-            if g.bits[u]:
-                v = (g.bits[u] & -g.bits[u]).bit_length() - 1
-                return (frozenset({u}), frozenset({v}))
+            if g.adj[u]:
+                return (frozenset({u}), frozenset({min(g.adj[u])}))
         return None
+    bits = rows(g)
     candidates = [v for v in range(g.n) if len(g.adj[v]) >= t - 1]
-    clique = _find_clique(g.bits, candidates, t)
+    clique = _find_clique(bits, candidates, t)
     if clique is not None:
         return tuple(frozenset({v}) for v in clique)
 
-    bits = g.bits
-    sets = _connected_subsets(g)
+    sets = _connected_subsets(bits)
     sets.sort(key=lambda m: (m.bit_count(), m & -m, m))
     nbr = {}
     for mask in sets:
@@ -335,7 +334,7 @@ def extract_subdivision_dense(g: Graph, t: int) -> SubdivisionWitness:
             reason="precondition",
         )
 
-    bits = g.bits
+    bits = rows(g)
     deficit_bar = 2 * t * (t - 1) - m  # want 4*e(Y) > this
 
     def edges_within(vertices) -> int:

@@ -11,15 +11,17 @@ The root's choice sequence is exactly the min-degree peeling order of
 degeneracy(g), so the root is split once, in O(m log n): root child v has
 the label L_v of v's neighbours later in the peel, |L_v| <= d, and its
 subtree is the tree of G[L_v] with ids relabelled in order. Census and
-enumeration run on these local graphs, so each step below the root costs
-time in the size of a local subproblem, not in n.
+enumeration run on the bit rows of these local graphs (graph.rows), so
+each step below the root costs time in the size of a local subproblem,
+not in n.
 
 Counting and census run the census kernel once per root child and never
 materialize nodes: the kernel counts each child's cliques by pivoting,
 without visiting them. Enumeration walks the subtrees one node per
 clique. build_tree materializes the node structure for inspection,
-subject to a node cap, and descends on global ids, which makes it an
-independent check of the local descents and of the pivot census.
+subject to a node cap, and descends on the rows of the whole graph, which
+makes it an independent check of the local descents and of the pivot
+census.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ from .graph import (
     DegeneracyResult,
     Graph,
     degeneracy,
-    induced_subgraph,
     mask_vertices,
     min_degree_in,
+    rows,
 )
 
 DEFAULT_NODE_CAP = 10_000_000
@@ -128,29 +130,31 @@ class CliqueSearchTree:
             node.children.clear()
 
 
-def _root_children(g: Graph,
-                   peel: DegeneracyResult | None = None) -> Iterator[tuple[int, int]]:
+def _root_children(
+    g: Graph, peel: DegeneracyResult | None = None
+) -> Iterator[tuple[int, list[int]]]:
     """Yield (v, label of v's root child) in the root's child order.
 
-    The label is the mask of v's neighbours later in the peel. Children
-    are streamed, so no list of all n labels is ever held. A caller that
-    has already peeled g passes the result as `peel`, so g is not peeled
-    again.
+    The label is the sorted list of v's neighbours later in the peel.
+    Children are streamed, so no list of all n labels is ever held. A
+    caller that has already peeled g passes the result as `peel`, so g is
+    not peeled again.
     """
     if peel is None:
         peel = degeneracy(g)
-    remaining = g.full_mask()
-    for v in peel.ordering:
-        yield v, g.bits[v] & remaining
-        remaining ^= 1 << v
+    pos = [0] * g.n
+    for i, v in enumerate(peel.ordering):
+        pos[v] = i
+    for i, v in enumerate(peel.ordering):
+        yield v, sorted(u for u in g.adj[v] if pos[u] > i)
 
 
-def _label_children(g: Graph, label: int) -> Iterator[tuple[int, int]]:
+def _label_children(bits, label: int) -> Iterator[tuple[int, int]]:
     """Yield (v, child label) for the children of a node labelled `label`,
-    in child order, by the min-degree descent on global ids."""
+    in child order, by the min-degree descent on the rows `bits`."""
     while label:
-        v = min_degree_in(g.bits, label)
-        yield v, label & g.bits[v]
+        v = min_degree_in(bits, label)
+        yield v, label & bits[v]
         label ^= 1 << v
 
 
@@ -175,15 +179,17 @@ def build_tree(g: Graph, node_cap: int = DEFAULT_NODE_CAP) -> CliqueSearchTree:
         nodes.append(child)
         return child
 
-    for v, label in _root_children(g):
+    bits = rows(g)
+    for v, later in _root_children(g):
+        label = sum(1 << u for u in later)
         top = attach(root, v, label)
         stack: list[tuple[CliqueTreeNode, int]] = [(top, label)]
         while stack:
             node, remaining = stack.pop()
             if remaining == 0:
                 continue
-            v = min_degree_in(g.bits, remaining)
-            child = attach(node, v, remaining & g.bits[v])
+            v = min_degree_in(bits, remaining)
+            child = attach(node, v, remaining & bits[v])
             stack.append((node, remaining ^ (1 << v)))
             stack.append((child, child.label_bits))
     return CliqueSearchTree(g, root, nodes)
@@ -207,20 +213,6 @@ class CliqueCensus:
         return [str(c) for c in self.counts]
 
 
-def _local_graph(g: Graph, label: int) -> tuple[Graph, tuple[int, ...]]:
-    """G[label] relabelled in order, and its local-to-global id map.
-
-    The subtree below a root child is the tree of this graph: the map is
-    sorted, so tie-breaking, child order and sorted order are unchanged.
-    """
-    return induced_subgraph(g, mask_vertices(label))
-
-
-def _local_census(g: Graph, label: int) -> list[int]:
-    local, _ = _local_graph(g, label)
-    return _backend.census_of_subset(local, local.full_mask())
-
-
 def census(g: Graph, threads: int = 1, backend: str | None = None) -> CliqueCensus:
     """Exact per-size clique counts.
 
@@ -236,8 +228,8 @@ def census(g: Graph, threads: int = 1, backend: str | None = None) -> CliqueCens
     """
     _backend.check_backend(backend)
     counts = [1]
-    for _, label in _root_children(g):
-        res = _local_census(g, label)
+    for _, ids in _root_children(g):
+        res = _backend.census_of_subset(rows(g, ids), (1 << len(ids)) - 1)
         if len(counts) <= len(res):
             counts.extend([0] * (len(res) + 1 - len(counts)))
         for d, c in enumerate(res, start=1):
@@ -255,28 +247,28 @@ def _clique_tuples(g: Graph) -> Iterator[tuple[int, ...]]:
     """Yield every clique of g as a tuple of ids in the order they were
     chosen, in depth-first child-creation order, the empty clique first.
 
-    Below each root child the descent runs on the child's local graph of
-    at most d vertices and maps ids back, so no step scans n-bit masks.
+    Below each root child the descent runs on the rows of the child's
+    local graph, which has at most d vertices, and maps ids back through
+    the label, so no step scans n-bit masks.
     """
     yield ()
-    for v, label in _root_children(g):
+    for v, ids in _root_children(g):
         top = (v,)
         yield top
-        if not label:
+        if not ids:
             continue
-        local, new_to_old = _local_graph(g, label)
-        bits = local.bits
+        bits = rows(g, ids)
         # entries are (nonempty label left, clique of the node whose
         # children it yields); the new child's entry goes on top, so its
         # subtree comes before its later siblings
-        stack: list[tuple[int, tuple[int, ...]]] = [(local.full_mask(), top)]
+        stack: list[tuple[int, tuple[int, ...]]] = [((1 << len(ids)) - 1, top)]
         while stack:
             remaining, chosen = stack.pop()
             u = min_degree_in(bits, remaining)
             rest = remaining ^ (1 << u)
             if rest:
                 stack.append((rest, chosen))
-            clique = chosen + (new_to_old[u],)
+            clique = chosen + (ids[u],)
             yield clique
             child = remaining & bits[u]
             if child:

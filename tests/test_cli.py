@@ -55,7 +55,6 @@ def test_count_json_embeds_config(capsys):
     assert cfg["command"] == "count"
     assert cfg["input"] == "path_power:n=20,k=3"
     assert cfg["format"] == "json"
-    assert cfg["threads"] >= 1
 
 
 def test_census_text_and_json(capsys):
@@ -224,46 +223,6 @@ def test_seed_override(capsys):
     assert overridden == base
 
 
-def test_threads_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("CLIQUE_CENSUS_THREADS", "2")
-    _, out, _ = run(
-        capsys, "count", "--construct", "complete:n=5", "--format", "json"
-    )
-    assert json.loads(out)["config"]["threads"] == 2
-    _, out, _ = run(
-        capsys,
-        "count",
-        "--construct",
-        "complete:n=5",
-        "--threads",
-        "3",
-        "--format",
-        "json",
-    )
-    assert json.loads(out)["config"]["threads"] == 3
-    monkeypatch.setenv("CLIQUE_CENSUS_THREADS", "soon")
-    code, _, err = run(capsys, "count", "--construct", "complete:n=5")
-    assert code == 2
-    assert "CLIQUE_CENSUS_THREADS" in err
-
-
-@pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("command", ["generate", "census", "bounds"])
-def test_thread_count_checked_in_every_format(capsys, monkeypatch, command, fmt):
-    argv = [command, "--format", fmt]
-    if command == "bounds":
-        argv += ["--degenerate", "2", "5"]
-    else:
-        argv += ["--construct", "complete:n=3"]
-    assert run(capsys, *argv)[0] == 0
-    monkeypatch.setenv("CLIQUE_CENSUS_THREADS", "soon")
-    code, out, err = run(capsys, *argv)
-    assert code == 2 and out == ""
-    assert "CLIQUE_CENSUS_THREADS" in err
-    monkeypatch.delenv("CLIQUE_CENSUS_THREADS")
-    assert run(capsys, *argv, "--threads", "0")[0] == 2
-
-
 def test_usage_errors_exit_2(capsys, tmp_path):
     assert run(capsys, "count")[0] == 2
     f = tmp_path / "g.txt"
@@ -271,7 +230,6 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert run(capsys, "count", str(f), "--construct", "complete:n=3")[0] == 2
     assert run(capsys, "count", "--construct", "mystery:n=3")[0] == 2
     assert run(capsys, "count", str(tmp_path / "missing.txt"))[0] == 2
-    assert run(capsys, "count", "--construct", "complete:n=5", "--threads", "0")[0] == 2
     assert run(capsys, "bounds")[0] == 2
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
@@ -283,6 +241,11 @@ def test_parse_error_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "count", str(f))
     assert code == 2
     assert "parse" in err
+    col = tmp_path / "bad.col"
+    col.write_text("c negative vertex count\np edge -2 0\n")
+    code, _, err = run(capsys, "count", str(col))
+    assert code == 2
+    assert "cannot parse input: line 2:" in err
 
 
 def test_oracle_limit_exit_3(capsys):

@@ -1,5 +1,7 @@
 """Graph construction, parsing, and ordering primitives."""
 
+import random
+
 import pytest
 from fractions import Fraction
 from hypothesis import given
@@ -16,7 +18,7 @@ from clique_census import (
     parse_graph,
     serialize,
 )
-from clique_census.graph import load_graph, mask_vertices, min_degree_in
+from clique_census.graph import load_graph, mask_vertices, min_degree_in, rows
 
 from brute import naive_degeneracy
 from strategies import WORD_EDGE_SIZES, graphs, word_edge_graphs
@@ -68,11 +70,30 @@ def test_parse_dimacs():
 
 @pytest.mark.parametrize(
     "text",
-    ["p edge 3\ne 1 2", "e 1 2", "p edge 3 1\ne 1 1", "p edge 3 1\ne 1 9", "z 1 2"],
+    [
+        "p edge 3\ne 1 2",
+        "e 1 2",
+        "p edge 3 1\ne 1 1",
+        "p edge 3 1\ne 1 9",
+        "z 1 2",
+        "p edge -2 0",
+        "p edge 3 1\ne 1 2\np edge 2 0",
+    ],
 )
 def test_parse_dimacs_rejects(text):
     with pytest.raises(GraphParseError):
         parse_dimacs(text)
+
+
+@pytest.mark.parametrize(
+    "text, line_no",
+    [("c comment\np edge -2 0", 2), ("p edge 3 1\ne 1 2\np edge 2 0", 3)],
+)
+def test_parse_dimacs_header_faults_carry_line_numbers(text, line_no):
+    # a negative vertex count, and a second problem line redefining n
+    with pytest.raises(GraphParseError) as info:
+        parse_dimacs(text)
+    assert info.value.line_no == line_no
 
 
 @pytest.mark.parametrize(
@@ -119,8 +140,42 @@ def test_graph_deduplicates():
 @given(graphs())
 def test_bits_match_adj(g):
     for v in range(g.n):
-        assert g.bits[v] == sum(1 << u for u in g.adj[v])
+        assert rows(g)[v] == sum(1 << u for u in g.adj[v])
         assert v not in g.adj[v]
+
+
+def test_graph_equality_and_hash_follow_the_edge_set():
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    g = Graph(4, edges)
+    same = Graph(4, [(v, u) for u, v in reversed(edges)])
+    assert g == same and hash(g) == hash(same)
+    assert g != Graph(4, edges[:3] + [(1, 3)])
+    assert g != Graph(5, edges)
+    assert g != Graph(4, edges[:3])
+
+
+@pytest.mark.parametrize("n", WORD_EDGE_SIZES)
+def test_rows_of_induced_subgraphs_at_word_edges(n):
+    # the hub (vertex 0 of the third graph) is adjacent to every vertex
+    rng = random.Random(n)
+    for g in word_edge_graphs(n):
+        assert rows(g) == [sum(1 << u for u in g.adj[v]) for v in range(n)]
+        for vertices in (
+            [0] + rng.sample(range(1, n), n // 3),
+            range(n - 12, n),
+            [v for v in (0, 62, 63, 64, 65, n - 1) if v < n],
+            range(n),
+            [],
+        ):
+            sub, new_to_old = induced_subgraph(g, vertices)
+            local = rows(g, vertices)
+            assert local == rows(sub)
+            assert local == [sum(1 << u for u in sub.adj[v]) for v in range(sub.n)]
+            assert list(new_to_old) == sorted(set(vertices))
+    with pytest.raises(ValueError):
+        rows(Graph(3, []), [1, 3])
+    with pytest.raises(ValueError):
+        rows(Graph(3, []), [-1, 1])
 
 
 def test_induced_subgraph_relabels_sorted():
@@ -168,7 +223,7 @@ def test_min_degree_in_is_lowest_min_degree(g, mask):
     vertices = mask_vertices(mask)
     degrees = {v: len(g.adj[v] & set(vertices)) for v in vertices}
     expected = min(vertices, key=lambda v: (degrees[v], v))
-    assert min_degree_in(g.bits, mask) == expected == min_degree_vertex(g, mask)
+    assert min_degree_in(rows(g), mask) == expected == min_degree_vertex(g, mask)
 
 
 def test_min_degree_in_stops_at_degree_zero():

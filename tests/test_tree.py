@@ -1,11 +1,15 @@
 """Clique search tree structure, counting, and enumeration."""
 
 import gc
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 
+import clique_census
 from clique_census import (
     CapacityError,
     Graph,
@@ -19,7 +23,7 @@ from clique_census import (
     subtree_at,
     subtree_bound_check,
 )
-from clique_census.graph import degeneracy
+from clique_census.graph import degeneracy, rows
 from clique_census.tree import _root_children, trees_isomorphic
 
 from brute import brute_census, brute_cliques, extension_census
@@ -66,7 +70,7 @@ def test_count_matches_tree_node_count(g):
     assert tree.node_count == count_cliques(g)
     assert list(tree.census_counts()) == list(census(g).counts)
     # the pivot kernel on the whole graph, without the root split
-    assert census_of_subset(g, g.full_mask(), "pure") == tree.census_counts()
+    assert census_of_subset(rows(g), g.full_mask(), "pure") == tree.census_counts()
 
 
 @given(graphs(max_n=8))
@@ -191,13 +195,18 @@ def test_root_split_at_word_edges(n):
         assert count_cliques(g) == sum(expected)
         tree = build_tree(g)
         assert tree.census_counts() == expected
-        assert census_of_subset(g, g.full_mask(), "pure") == expected
+        assert census_of_subset(rows(g), g.full_mask(), "pure") == expected
         _assert_public_enumeration(g, tree)
         # root children follow the peel; each label is the later neighbours
         order = degeneracy(g).ordering
         assert [c.chosen_vertex for c in tree.root.children] == list(order)
         for i, child in enumerate(tree.root.children):
             assert child.label == g.adj[order[i]] & set(order[i + 1:])
+        # the streamed split gives the same labels as sorted id lists
+        split = list(_root_children(g))
+        assert [v for v, _ in split] == list(order)
+        for i, (v, ids) in enumerate(split):
+            assert ids == sorted(g.adj[v] & set(order[i + 1:]))
 
 
 def test_enumerate_with_isolated_vertices():
@@ -205,9 +214,39 @@ def test_enumerate_with_isolated_vertices():
     # peel has an empty root-child label too
     g = Graph(8, [(1, 2), (2, 3), (1, 3), (5, 6)])
     root_labels = [label for _, label in _root_children(g)]
-    assert root_labels.count(0) == 5
+    assert root_labels.count([]) == 5
     _assert_public_enumeration(g, build_tree(g))
     assert set(enumerate_cliques(g)) == brute_cliques(g)
+
+
+# Builds, peels and splits path_power(n, 6) in a fresh interpreter, then
+# prints the interpreter's peak resident size in kB.
+_ROOT_SPLIT_PEAK = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from clique_census import path_power
+from clique_census.graph import degeneracy
+from clique_census.tree import _root_children
+g = path_power(int(sys.argv[2]), 6)
+peel = degeneracy(g)
+assert sum(len(ids) for _, ids in _root_children(g, peel)) == g.edge_count
+with open("/proc/self/status") as fh:
+    print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+def test_root_split_memory_stays_linear():
+    # n-bit rows per vertex would take about n^2/16 bytes here, 2.5 GB;
+    # frozenset adjacency and id-list labels stay far below the budget
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("peak resident size is read from /proc/self/status")
+    package_root = os.path.dirname(os.path.dirname(clique_census.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _ROOT_SPLIT_PEAK, package_root, "200000"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 600 * 1024
 
 
 @pytest.mark.parametrize("discard", [False, True])
