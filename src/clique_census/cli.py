@@ -1,9 +1,9 @@
 """Command-line front end: counting, censuses, oracles, generators, audits.
 
 One command per process.  Exit codes: 0 success (and all checks passing),
-1 a check failed, 2 usage or parse error, 3 a capacity or oracle limit
-was hit.  JSON reports embed the resolved configuration; text output is
-the bare payload or a human-readable summary.
+1 a check failed, 2 usage or parse error, 3 an oracle or exhaustive-scan
+limit was hit.  JSON reports embed the resolved configuration; text output
+is the bare payload or a human-readable summary.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator, TextIO
+from typing import Iterator, NamedTuple, TextIO
 
 from .audit import (
     AuditConfig,
@@ -31,13 +31,8 @@ from .constructions import (
     predicted_clique_count,
     spec_from_json,
 )
-from .errors import (
-    CapacityError,
-    CliqueCensusError,
-    GraphParseError,
-    OracleLimitError,
-)
-from .graph import Graph, degeneracy, load_graph, serialize
+from .errors import CliqueCensusError, GraphParseError, OracleLimitError
+from .graph import Graph, load_graph, serialize
 from .sparsity import (
     DEFAULT_EXHAUSTIVE_LIMIT,
     SparsityParams,
@@ -57,17 +52,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
-
-GRAPH_COMMANDS = {
-    "count",
-    "census",
-    "enumerate",
-    "check-subdivision",
-    "check-minor",
-    "sparse-check",
-    "audit",
-}
-
 
 class _UsageError(Exception):
     pass
@@ -188,17 +172,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_graph(args) -> tuple[Graph, str]:
-    """Load the input graph; returns (graph, description-for-config)."""
-    construct = getattr(args, "construct", None)
-    path = getattr(args, "graph", None)
-    if construct and path:
+def _resolve_graph(args) -> Graph:
+    """Load the input graph from its file or from --construct."""
+    if args.construct and args.graph:
         raise _UsageError("give either a graph file or --construct, not both")
-    if construct:
-        spec = _resolve_spec(args)
-        return generate(spec), construct
-    if path:
-        return load_graph(path), path
+    if args.construct:
+        return generate(_resolve_spec(args))
+    if args.graph:
+        return load_graph(args.graph)
     raise _UsageError(f"{args.command} needs a graph file or --construct")
 
 
@@ -214,19 +195,32 @@ def _resolve_spec(args):
     return spec
 
 
-def _config_dict(args, extra: dict | None = None) -> dict:
+def _config_dict(args) -> dict:
     cfg = {
         "command": args.command,
-        "input": getattr(args, "construct", None) or getattr(args, "graph", None),
+        "input": args.construct or getattr(args, "graph", None),
         "format": args.format,
-        "seed": getattr(args, "seed", None),
+        "seed": args.seed,
     }
     for key in ("t", "node_cap", "oracle_limit", "exhaustive_limit", "mode"):
         if hasattr(args, key):
             cfg[key] = getattr(args, key)
-    if extra:
-        cfg.update(extra)
     return cfg
+
+
+class _Report(NamedTuple):
+    """What a command prints, in both formats, and its exit code.
+
+    payload holds the JSON entries that follow "config".  config holds
+    the command's own config entries; the CLI's entries are merged into
+    it as dict.update does, and spec, when given, comes last.
+    """
+
+    payload: dict
+    text: str
+    code: int = EXIT_OK
+    config: dict = {}
+    spec: dict | None = None
 
 
 @contextmanager
@@ -239,43 +233,33 @@ def _output(args) -> Iterator[TextIO]:
         yield sys.stdout
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, report: _Report) -> int:
+    """Write the report as --format asks and return its exit code."""
+    if args.format == "json":
+        config = {**report.config, **_config_dict(args)}
+        if report.spec is not None:
+            config["spec"] = report.spec
+        text = json.dumps({"config": config, **report.payload}, indent=2)
+    else:
+        text = report.text
     if not text.endswith("\n"):
         text += "\n"
     with _output(args) as out:
         out.write(text)
+    return report.code
 
 
-def _emit_json(args, payload: dict) -> None:
-    _emit(args, json.dumps(payload, indent=2))
+def _cmd_count(args) -> _Report:
+    total = str(count_cliques(_resolve_graph(args)))
+    return _Report({"count": total}, total)
 
 
-def _cmd_count(args) -> int:
-    g, _ = _resolve_graph(args)
-    total = count_cliques(g)
-    if args.format == "json":
-        _emit_json(args, {"config": _config_dict(args), "count": str(total)})
-    else:
-        _emit(args, str(total))
-    return EXIT_OK
-
-
-def _cmd_census(args) -> int:
-    g, _ = _resolve_graph(args)
-    result = census(g)
-    if args.format == "json":
-        _emit_json(
-            args,
-            {
-                "config": _config_dict(args),
-                "census": result.to_json_array(),
-                "total": str(result.total),
-            },
-        )
-    else:
-        lines = [f"{size} {count}" for size, count in enumerate(result.counts)]
-        _emit(args, "\n".join(lines))
-    return EXIT_OK
+def _cmd_census(args) -> _Report:
+    result = census(_resolve_graph(args))
+    return _Report(
+        {"census": result.to_json_array(), "total": str(result.total)},
+        "\n".join(f"{size} {count}" for size, count in enumerate(result.counts)),
+    )
 
 
 # lines per write of a listing: few writes, and memory bounded by a batch
@@ -299,7 +283,8 @@ def _write_joined(out: TextIO, items: Iterator[str], sep: str) -> None:
 
 
 def _cmd_enumerate(args) -> int:
-    g, _ = _resolve_graph(args)
+    """Stream the listing in batches instead of building one _Report."""
+    g = _resolve_graph(args)
     name = [str(v) for v in range(g.n)].__getitem__
     cliques = _clique_tuples(g)
     with _output(args) as out:
@@ -317,80 +302,46 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args) -> _Report:
     if not args.construct:
         raise _UsageError("generate needs --construct")
     spec = _resolve_spec(args)
     g = generate(spec)
     predicted = predicted_clique_count(spec)
-    if args.format == "json":
-        _emit_json(
-            args,
-            {
-                "config": _config_dict(args, {"spec": spec.to_json()}),
-                "n": g.n,
-                "edges": [[u, v] for u, v in g.edges()],
-                "predicted_clique_count": (
-                    None if predicted is None else str(predicted)
-                ),
-            },
-        )
-    else:
-        _emit(args, serialize(g))
-    return EXIT_OK
+    return _Report(
+        {
+            "n": g.n,
+            "edges": g.edges(),
+            "predicted_clique_count": None if predicted is None else str(predicted),
+        },
+        serialize(g),
+        spec=spec.to_json(),
+    )
 
 
-def _cmd_check_subdivision(args) -> int:
-    g, _ = _resolve_graph(args)
+def _cmd_check_subdivision(args) -> _Report:
+    g = _resolve_graph(args)
     witness = has_subdivision(g, args.t, oracle_limit=args.oracle_limit)
-    if args.format == "json":
-        _emit_json(
-            args,
-            {
-                "config": _config_dict(args),
-                "witness": None if witness is None else witness.to_json(),
-            },
-        )
-    elif witness is None:
-        _emit(args, "none")
-    else:
-        lines = ["branch: " + " ".join(map(str, witness.branch))]
-        for path in witness.paths:
-            lines.append(
-                f"path {path[0]} {path[-1]}: " + " ".join(map(str, path))
-            )
-        _emit(args, "\n".join(lines))
-    return EXIT_OK
+    if witness is None:
+        return _Report({"witness": None}, "none")
+    lines = ["branch: " + " ".join(map(str, witness.branch))]
+    for path in witness.paths:
+        lines.append(f"path {path[0]} {path[-1]}: " + " ".join(map(str, path)))
+    return _Report({"witness": witness.to_json()}, "\n".join(lines))
 
 
-def _cmd_check_minor(args) -> int:
-    g, _ = _resolve_graph(args)
+def _cmd_check_minor(args) -> _Report:
+    g = _resolve_graph(args)
     witness = has_minor(g, args.t, oracle_limit=args.oracle_limit)
-    if args.format == "json":
-        _emit_json(
-            args,
-            {
-                "config": _config_dict(args),
-                "witness": (
-                    None
-                    if witness is None
-                    else [sorted(part) for part in witness]
-                ),
-            },
-        )
-    elif witness is None:
-        _emit(args, "none")
-    else:
-        lines = [
-            f"branch {i}: " + " ".join(map(str, sorted(part)))
-            for i, part in enumerate(witness)
-        ]
-        _emit(args, "\n".join(lines))
-    return EXIT_OK
+    if witness is None:
+        return _Report({"witness": None}, "none")
+    parts = [sorted(part) for part in witness]
+    lines = [f"branch {i}: " + " ".join(map(str, part)) for i, part in enumerate(parts)]
+    return _Report({"witness": parts}, "\n".join(lines))
 
 
-def _cmd_sparse_check(args) -> int:
-    g, _ = _resolve_graph(args)
+def _cmd_sparse_check(args) -> _Report:
+    g = _resolve_graph(args)
     if args.beta is not None or args.n_threshold is not None:
         if args.beta is None or args.n_threshold is None:
             raise _UsageError("--beta and --n-threshold go together")
@@ -405,19 +356,14 @@ def _cmd_sparse_check(args) -> int:
     cert = check_local_sparsity(
         g, params, mode=args.mode, exhaustive_limit=args.exhaustive_limit
     )
-    if args.format == "json":
-        _emit_json(
-            args, {"config": _config_dict(args), "certificate": cert.to_json()}
-        )
-    elif cert.verdict == "violated":
-        _emit(args, "violated: " + " ".join(map(str, sorted(cert.witness))))
-    else:
-        _emit(args, cert.verdict)
-    return EXIT_CHECK_FAILED if cert.verdict == "violated" else EXIT_OK
+    if cert.verdict == "violated":
+        text = "violated: " + " ".join(map(str, sorted(cert.witness)))
+        return _Report({"certificate": cert.to_json()}, text, EXIT_CHECK_FAILED)
+    return _Report({"certificate": cert.to_json()}, cert.verdict)
 
 
-def _cmd_audit(args) -> int:
-    g, _ = _resolve_graph(args)
+def _cmd_audit(args) -> _Report:
+    g = _resolve_graph(args)
     cfg = AuditConfig(
         t=args.t,
         assume_subdivision_free=args.assume_subdivision_free,
@@ -425,30 +371,27 @@ def _cmd_audit(args) -> int:
         oracle_limit=args.oracle_limit,
     )
     report = audit_graph(g, cfg)
-    if args.format == "json":
-        payload = report.to_json()
-        payload["config"].update(_config_dict(args))
-        _emit_json(args, payload)
-    else:
-        lines = []
-        for check in report.checks:
-            mark = "ok  " if check.holds else "FAIL"
-            line = f"{mark} {check.name}: {check.lhs} vs {_short(check.rhs)}"
-            if check.note:
-                line += f"  [{check.note}]"
-            lines.append(line)
-        for case in report.boundary_cases:
-            lines.append(
-                f"boundary node {case.node}: {case.case} "
-                f"(label {case.label_size})"
-            )
-        for note in report.notes:
-            lines.append(f"note: {note}")
+    lines = []
+    for check in report.checks:
+        mark = "ok  " if check.holds else "FAIL"
+        line = f"{mark} {check.name}: {check.lhs} vs {_short(check.rhs)}"
+        if check.note:
+            line += f"  [{check.note}]"
+        lines.append(line)
+    for case in report.boundary_cases:
         lines.append(
-            "all checks hold" if report.all_hold else "some checks FAILED"
+            f"boundary node {case.node}: {case.case} (label {case.label_size})"
         )
-        _emit(args, "\n".join(lines))
-    return EXIT_OK if report.all_hold else EXIT_CHECK_FAILED
+    for note in report.notes:
+        lines.append(f"note: {note}")
+    lines.append("all checks hold" if report.all_hold else "some checks FAILED")
+    payload = report.to_json()
+    return _Report(
+        payload,
+        "\n".join(lines),
+        EXIT_OK if report.all_hold else EXIT_CHECK_FAILED,
+        config=payload.pop("config"),
+    )
 
 
 def _short(value) -> str:
@@ -458,28 +401,24 @@ def _short(value) -> str:
     return text
 
 
-def _cmd_bounds(args) -> int:
-    requested = False
+def _cmd_bounds(args) -> _Report:
     payload: dict = {}
     lines: list[str] = []
     failed = False
     if args.degenerate:
-        requested = True
         d, n = args.degenerate
         value = bound_degenerate(d, n)
         payload["degenerate"] = {"d": d, "n": n, "bound": str(value)}
         lines.append(f"degenerate: {value}")
     if args.binom:
-        requested = True
         m = int(args.binom[0])
         k = Fraction(args.binom[1])
         check = check_binom_sum_inequality(m, k)
         payload["binom"] = check.to_json()
         mark = "holds" if check.holds else "FAILS"
         lines.append(f"binom: {mark} lhs={check.lhs} rhs={check.rhs}")
-        failed = failed or not check.holds
+        failed = not check.holds
     if args.refined:
-        requested = True
         alpha = Fraction(args.refined[0])
         beta = Fraction(args.refined[1])
         t = int(args.refined[2])
@@ -492,7 +431,6 @@ def _cmd_bounds(args) -> int:
             f"total={report.total_exponent:.6f}"
         )
     if args.lower_bound:
-        requested = True
         report = lower_bound_constant(args.lower_bound)
         payload["lower_bound"] = {
             "k": report.k,
@@ -505,22 +443,17 @@ def _cmd_bounds(args) -> int:
             f"lower-bound: k={report.k} t={report.t} "
             f"exponent={report.exponent:.6f} limit={report.limit:.6f}"
         )
-    if not requested:
+    if not payload:
         raise _UsageError(
             "bounds needs at least one of --degenerate, --binom, "
             "--refined, --lower-bound"
         )
-    if args.format == "json":
-        _emit_json(args, {"config": _config_dict(args), **payload})
-    else:
-        _emit(args, "\n".join(lines))
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    return _Report(payload, "\n".join(lines), EXIT_CHECK_FAILED if failed else EXIT_OK)
 
 
 _DISPATCH = {
     "count": _cmd_count,
     "census": _cmd_census,
-    "enumerate": _cmd_enumerate,
     "generate": _cmd_generate,
     "check-subdivision": _cmd_check_subdivision,
     "check-minor": _cmd_check_minor,
@@ -537,23 +470,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else EXIT_USAGE
     try:
-        return _DISPATCH[args.command](args)
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        if args.command == "enumerate":
+            return _cmd_enumerate(args)
+        return _emit(args, _DISPATCH[args.command](args))
     except GraphParseError as err:
         print(f"error: cannot parse input: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (OracleLimitError, CapacityError) as err:
+    except OracleLimitError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_LIMIT
-    except (ValueError, TypeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except CliqueCensusError as err:
+    except (_UsageError, CliqueCensusError, ValueError, TypeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -28,7 +28,7 @@ class Graph:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         self.n = n
-        neigh: list[set[int]] = [set() for _ in range(n)]
+        neigh: list = [set() for _ in range(n)]
         count = 0
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -39,7 +39,11 @@ class Graph:
                 neigh[u].add(v)
                 neigh[v].add(u)
                 count += 1
-        self.adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in neigh)
+        # replace each set as its frozenset is made, so the build never
+        # holds two copies of the adjacency
+        for v, s in enumerate(neigh):
+            neigh[v] = frozenset(s)
+        self.adj: tuple[frozenset[int], ...] = tuple(neigh)
         self._edge_count = count
 
     @property
@@ -136,11 +140,14 @@ def parse_dimacs(text: str) -> Graph:
             if len(parts) != 4 or parts[1] not in ("edge", "edges", "col"):
                 raise GraphParseError(f"bad problem line {line!r}", line_no)
             try:
-                n = int(parts[2])
+                n, m = int(parts[2]), int(parts[3])
             except ValueError:
                 raise GraphParseError(f"bad problem line {line!r}", line_no)
             if n < 0:
                 raise GraphParseError("vertex count must be nonnegative", line_no)
+            # m must be a count, but need not match the edge lines
+            if m < 0:
+                raise GraphParseError("edge count must be nonnegative", line_no)
             continue
         if parts[0] == "e":
             if n is None:

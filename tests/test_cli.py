@@ -421,6 +421,71 @@ def test_audit_json_merges_config(capsys):
     assert any(c["name"] == "window@0-size" for c in payload["checks"])
 
 
+BASE_CONFIG = ["command", "input", "format", "seed"]
+
+# command line -> (top-level keys, config keys) of its JSON report
+JSON_KEY_ORDER = {
+    "count": (["config", "count"], BASE_CONFIG),
+    "census": (["config", "census", "total"], BASE_CONFIG),
+    "enumerate": (["config", "cliques"], BASE_CONFIG),
+    "generate": (
+        ["config", "n", "edges", "predicted_clique_count"],
+        BASE_CONFIG + ["spec"],
+    ),
+    "check-subdivision --t 4": (
+        ["config", "witness"],
+        BASE_CONFIG + ["t", "oracle_limit"],
+    ),
+    "check-minor --t 4": (["config", "witness"], BASE_CONFIG + ["t", "oracle_limit"]),
+    "sparse-check --t 4": (
+        ["config", "certificate"],
+        BASE_CONFIG + ["t", "exhaustive_limit", "mode"],
+    ),
+    "audit --t 4": (
+        ["config", "graph", "checks", "boundary_cases", "notes", "all_hold"],
+        ["t", "assume_subdivision_free", "node_cap", "oracle_limit"] + BASE_CONFIG,
+    ),
+}
+
+
+@pytest.mark.parametrize("command", JSON_KEY_ORDER)
+def test_json_key_order(capsys, command):
+    keys, config_keys = JSON_KEY_ORDER[command]
+    code, out, _ = run(
+        capsys, *command.split(), "--construct", "complete:n=4", "--format", "json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload) == keys
+    assert list(payload["config"]) == config_keys
+
+
+def test_bounds_json_key_order(capsys):
+    # entries follow the fixed order of the options, not the order given
+    code, out, _ = run(
+        capsys,
+        "bounds",
+        "--lower-bound",
+        "2",
+        "--refined",
+        "1/10",
+        "1/2",
+        "4",
+        "--binom",
+        "10",
+        "3",
+        "--degenerate",
+        "3",
+        "20",
+        "--format",
+        "json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload) == ["config", "degenerate", "binom", "refined", "lower_bound"]
+    assert list(payload["config"]) == BASE_CONFIG
+
+
 def test_bounds_text(capsys):
     code, out, _ = run(capsys, "bounds", "--degenerate", "3", "20")
     assert code == 0

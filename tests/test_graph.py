@@ -87,17 +87,23 @@ def test_parse_dimacs_rejects(text):
 
 @pytest.mark.parametrize(
     "text, line_no",
-    [("c comment\np edge -2 0", 2), ("p edge 3 1\ne 1 2\np edge 2 0", 3)],
+    [
+        ("c comment\np edge -2 0", 2),
+        ("p edge 3 1\ne 1 2\np edge 2 0", 3),
+        ("p edge 3 -7\ne 1 2", 1),
+    ],
 )
 def test_parse_dimacs_header_faults_carry_line_numbers(text, line_no):
-    # a negative vertex count, and a second problem line redefining n
+    # a negative vertex count, a second problem line redefining n, and a
+    # negative edge count
     with pytest.raises(GraphParseError) as info:
         parse_dimacs(text)
     assert info.value.line_no == line_no
 
 
 @pytest.mark.parametrize(
-    "text, line_no", [("c comment\np edge x 3", 2), ("p edge 3 1\ne 1 y", 2)]
+    "text, line_no",
+    [("c comment\np edge x 3", 2), ("p edge 3 1\ne 1 y", 2), ("p edge 3 x\ne 1 2", 1)],
 )
 def test_parse_dimacs_non_integer_fields(text, line_no):
     with pytest.raises(GraphParseError) as info:
