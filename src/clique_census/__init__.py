@@ -48,6 +48,7 @@ from .sparsity import (
 )
 from .subdivision import (
     SubdivisionWitness,
+    elimination_certificate,
     extract_subdivision_dense,
     has_minor,
     has_subdivision,

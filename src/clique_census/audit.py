@@ -22,6 +22,7 @@ from . import backend as _backend
 from .graph import DegeneracyResult, Graph, degeneracy, induced_subgraph, rows
 from .subdivision import (
     DEFAULT_SUBDIVISION_LIMIT,
+    elimination_certificate,
     extract_subdivision_dense,
     has_subdivision,
     verify_witness,
@@ -673,7 +674,11 @@ def audit_graph(g: Graph, cfg: AuditConfig) -> AuditReport:
         return report
 
     if not cfg.assume_subdivision_free:
-        if g.n <= cfg.oracle_limit:
+        if elimination_certificate(g, t, peel):
+            report.notes.append(
+                f"elimination width <= {t - 2}: no K_{t}-subdivision present"
+            )
+        elif g.n <= cfg.oracle_limit:
             witness = has_subdivision(g, t, oracle_limit=cfg.oracle_limit)
             if witness is None:
                 report.notes.append(

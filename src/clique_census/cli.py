@@ -42,6 +42,7 @@ from .sparsity import (
 from .subdivision import (
     DEFAULT_MINOR_LIMIT,
     DEFAULT_SUBDIVISION_LIMIT,
+    elimination_certificate,
     has_minor,
     has_subdivision,
 )
@@ -99,7 +100,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p, graph_input=False)
 
     p = sub.add_parser(
-        "check-subdivision", help="search for a K_t-subdivision (small graphs)"
+        "check-subdivision",
+        help="decide K_t-subdivision containment (treewidth certificate, "
+        "then exhaustive search on small graphs)",
     )
     add_common(p)
     p.add_argument("--t", type=int, required=True)
@@ -321,6 +324,9 @@ def _cmd_generate(args) -> _Report:
 
 def _cmd_check_subdivision(args) -> _Report:
     g = _resolve_graph(args)
+    # the certificate answers "none" at any size; the oracle is exhaustive
+    if elimination_certificate(g, args.t):
+        return _Report({"witness": None}, "none")
     witness = has_subdivision(g, args.t, oracle_limit=args.oracle_limit)
     if witness is None:
         return _Report({"witness": None}, "none")
@@ -401,6 +407,13 @@ def _short(value) -> str:
     return text
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise _UsageError(f"bad fraction {text!r}: zero denominator") from None
+
+
 def _cmd_bounds(args) -> _Report:
     payload: dict = {}
     lines: list[str] = []
@@ -412,15 +425,15 @@ def _cmd_bounds(args) -> _Report:
         lines.append(f"degenerate: {value}")
     if args.binom:
         m = int(args.binom[0])
-        k = Fraction(args.binom[1])
+        k = _fraction(args.binom[1])
         check = check_binom_sum_inequality(m, k)
         payload["binom"] = check.to_json()
         mark = "holds" if check.holds else "FAILS"
         lines.append(f"binom: {mark} lhs={check.lhs} rhs={check.rhs}")
         failed = not check.holds
     if args.refined:
-        alpha = Fraction(args.refined[0])
-        beta = Fraction(args.refined[1])
+        alpha = _fraction(args.refined[0])
+        beta = _fraction(args.refined[1])
         t = int(args.refined[2])
         report = refined_exponents(alpha, beta, t)
         payload["refined"] = report.to_json()
@@ -430,7 +443,7 @@ def _cmd_bounds(args) -> _Report:
             f"skeleton={report.skeleton_exponent:.6f} "
             f"total={report.total_exponent:.6f}"
         )
-    if args.lower_bound:
+    if args.lower_bound is not None:
         report = lower_bound_constant(args.lower_bound)
         payload["lower_bound"] = {
             "k": report.k,

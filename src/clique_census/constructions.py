@@ -153,20 +153,28 @@ def spec_from_json(data) -> ConstructionSpec:
     return ConstructionSpec(family, params, None if seed is None else int(seed))
 
 
+def _param(spec: ConstructionSpec, key: str):
+    try:
+        return spec.params[key]
+    except KeyError:
+        raise ValueError(
+            f"construction {spec.family} needs parameter {key!r}"
+        ) from None
+
+
 def generate(spec: ConstructionSpec) -> Graph:
     family = spec.family
-    params = spec.params
     if family == "path_power":
-        return path_power(int(params["n"]), int(params["k"]))
+        return path_power(int(_param(spec, "n")), int(_param(spec, "k")))
     if family == "complete_multipartite":
-        return complete_multipartite_222(int(params["k"]))
+        return complete_multipartite_222(int(_param(spec, "k")))
     if family == "complete":
-        return complete(int(params["n"]))
+        return complete(int(_param(spec, "n")))
     if family == "cycle":
-        return cycle(int(params["n"]))
+        return cycle(int(_param(spec, "n")))
     if family == "random_gnp":
         seed = 0 if spec.seed is None else spec.seed
-        return random_gnp(int(params["n"]), params["p"], seed)
+        return random_gnp(int(_param(spec, "n")), _param(spec, "p"), seed)
     if family == "petersen":
         return petersen()
     raise ValueError(f"unknown construction family {family!r}")
@@ -175,19 +183,18 @@ def generate(spec: ConstructionSpec) -> Graph:
 def predicted_clique_count(spec: ConstructionSpec):
     """Exact closed-form clique count, or None when the family has none."""
     family = spec.family
-    params = spec.params
     if family == "path_power":
-        n = int(params["n"])
-        k = int(params["k"])
+        n = int(_param(spec, "n"))
+        k = int(_param(spec, "k"))
         if n < k + 1:
             return 2**n
         return 2**k * (n - k + 1)
     if family == "complete_multipartite":
-        return 3 ** int(params["k"])
+        return 3 ** int(_param(spec, "k"))
     if family == "complete":
-        return 2 ** int(params["n"])
+        return 2 ** int(_param(spec, "n"))
     if family == "cycle":
-        n = int(params["n"])
+        n = int(_param(spec, "n"))
         return 8 if n == 3 else 2 * n + 1
     if family == "petersen":
         # triangle-free: the empty set, 10 vertices, 15 edges

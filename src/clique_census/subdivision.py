@@ -1,6 +1,9 @@
-"""Brute-force oracles for complete-graph subdivisions and minors.
+"""Oracles for complete-graph subdivisions and minors.
 
-Desk-scale searches only.  The subdivision test backtracks over branch
+A one-sided polynomial certificate comes first: an elimination ordering
+of width at most t-2 bounds the treewidth below t-1, which rules out a
+K_t minor and so a K_t-subdivision.  The exact oracles are desk-scale
+searches only.  The subdivision test backtracks over branch
 vertex choices and internally disjoint path assignments; the minor test
 searches for pairwise adjacent families of connected branch sets.  Both
 refuse graphs above an explicit size limit instead of silently running
@@ -16,7 +19,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import ExtractionError, OracleLimitError
-from .graph import Graph, rows
+from .graph import DegeneracyResult, Graph, degeneracy, rows
 
 DEFAULT_SUBDIVISION_LIMIT = 16
 DEFAULT_MINOR_LIMIT = 14
@@ -181,6 +184,53 @@ def _route(bits, branch: tuple[int, ...]):
         else:
             paths.append((u, *assignment[(u, v)], v))
     return SubdivisionWitness(branch, tuple(paths))
+
+
+def elimination_certificate(
+    g: Graph, t: int, peel: DegeneracyResult | None = None
+) -> bool:
+    """True when eliminating g along its min-degree peel proves that g has
+    no K_t-subdivision; False proves nothing.
+
+    A K_t-subdivision is a K_t minor, which forces treewidth >= t-1, so an
+    elimination ordering of width <= t-2 excludes it (Bodlaender & Koster,
+    "Treewidth computations I. Upper bounds", 2010).  Pass `peel` when g is
+    already peeled.  The width is at least the degeneracy, so peel.d > t-2
+    rejects at once; otherwise one pass computes the Rose-Tarjan-Lueker
+    fill: a vertex's later neighbours plus its inherited fill become a
+    clique when it is eliminated, and that set, less its earliest member,
+    is handed to the earliest member.  It stops at the first set larger
+    than t-2; each vertex hands on at most t-3 vertices, so the pass costs
+    O(m + n t) after the peel.
+    """
+    if t < 1:
+        return False
+    if peel is None:
+        peel = degeneracy(g)
+    width = t - 2
+    if peel.d > width:
+        return False
+    pos = [0] * g.n
+    for i, v in enumerate(peel.ordering):
+        pos[v] = i
+    at = pos.__getitem__
+    adj = g.adj
+    fill: dict[int, set[int]] = {}  # sets of peel positions, keyed the same
+    for i, v in enumerate(peel.ordering):
+        later = {p for p in map(at, adj[v]) if p > i}
+        inherited = fill.pop(i, None)
+        if inherited:  # without fill, len(later) <= peel.d <= width
+            later |= inherited
+            if len(later) > width:
+                return False
+        if len(later) > 1:
+            first = min(later)
+            later.discard(first)
+            if first in fill:
+                fill[first] |= later
+            else:
+                fill[first] = later
+    return True
 
 
 def has_subdivision(

@@ -1,10 +1,12 @@
 """Shared hypothesis strategies and seeded graph families for the test suite."""
 
 import random
+from fractions import Fraction
+from functools import lru_cache
 
 import hypothesis.strategies as st
 
-from clique_census import Graph
+from clique_census import Graph, random_gnp
 
 # vertex counts on both sides of one and two 64-bit words
 WORD_EDGE_SIZES = (63, 64, 65, 127, 128, 129)
@@ -27,6 +29,15 @@ def word_edge_graphs(n):
     return [gnp, path, hub]
 
 
+def grid(rows, cols):
+    """The rows x cols grid: 2-degenerate, treewidth min(rows, cols)."""
+    edges = [(r * cols + c, r * cols + c + 1)
+             for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c)
+              for r in range(rows - 1) for c in range(cols)]
+    return Graph(rows * cols, edges)
+
+
 @st.composite
 def graphs(draw, max_n=10, min_n=0):
     n = draw(st.integers(min_value=min_n, max_value=max_n))
@@ -36,3 +47,16 @@ def graphs(draw, max_n=10, min_n=0):
     else:
         edges = set()
     return Graph(n, edges)
+
+
+CORPUS_PROBS = (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5))
+
+
+@lru_cache(maxsize=1)
+def corpus():
+    """The acceptance corpus: 200 seeded random graphs, n in 8..18, three
+    edge densities."""
+    return tuple(
+        random_gnp(8 + (i % 11), CORPUS_PROBS[i % 3], seed=1000 + i)
+        for i in range(200)
+    )

@@ -12,7 +12,6 @@ enforces a wall-clock budget; the budgets are part of the contract.
 import random
 import time
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import comb, log2
 
@@ -36,7 +35,6 @@ from clique_census import (
     lower_bound_constant,
     path_power,
     petersen,
-    random_gnp,
     refined_exponents,
     subtree_at,
     subtree_bound_check,
@@ -45,17 +43,7 @@ from clique_census import (
 )
 
 from brute import brute_census
-
-CORPUS_PROBS = (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5))
-
-
-@lru_cache(maxsize=1)
-def corpus():
-    """200 seeded random graphs, n in 8..18, three edge densities."""
-    return tuple(
-        random_gnp(8 + (i % 11), CORPUS_PROBS[i % 3], seed=1000 + i)
-        for i in range(200)
-    )
+from strategies import corpus
 
 
 def k_minus_matching(n):

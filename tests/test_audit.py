@@ -24,12 +24,13 @@ from clique_census import (
     complete_multipartite_222,
     count_cliques,
     path_power,
+    petersen,
     random_gnp,
     refined_exponents,
 )
 from clique_census.graph import Graph
 
-from strategies import WORD_EDGE_SIZES, graphs, word_edge_graphs
+from strategies import WORD_EDGE_SIZES, graphs, grid, word_edge_graphs
 
 
 def k_minus_matching(n):
@@ -319,7 +320,30 @@ def test_audit_path_power_clean():
     assert named["degenerate-bound"].lhs == 116
     assert named["degenerate-bound"].rhs == 116
     assert report.boundary_cases[0].case == "small_children"
-    assert any("neither verified" in note for note in report.notes)
+    # treewidth 2 <= t-2: the elimination certificate decides above the
+    # oracle limit
+    assert "elimination width <= 2: no K_4-subdivision present" in report.notes
+    assert not any("neither verified" in note for note in report.notes)
+
+
+def test_audit_neither_verified_above_oracle_limit():
+    # path_power(30,3) fails the certificate's degeneracy test at t=4; the
+    # 5x5 grid is 2-degenerate but its fill passes width 2
+    for g in (path_power(30, 3), grid(5, 5)):
+        report = audit_graph(g, AuditConfig(t=4))
+        assert g.n > report.config.oracle_limit
+        assert any("neither verified" in note for note in report.notes)
+        assert not any("no K_4-subdivision" in note for note in report.notes)
+
+
+def test_audit_certificate_skips_the_oracle(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exhaustive oracle ran")
+
+    monkeypatch.setattr(audit_module, "has_subdivision", refuse)
+    report = audit_graph(path_power(14, 3), AuditConfig(t=5))
+    assert report.all_hold
+    assert "elimination width <= 3: no K_5-subdivision present" in report.notes
 
 
 def test_audit_octahedron_clean_with_subdivision_note():
@@ -335,6 +359,10 @@ def test_audit_verified_free_note():
     assert any(
         "no K_4-subdivision present" in note for note in report.notes
     )
+    # the Petersen graph is 3-degenerate with treewidth 4: the certificate
+    # fails at t=5 and the exhaustive oracle decides
+    report = audit_graph(petersen(), AuditConfig(t=5))
+    assert "oracle verified: no K_5-subdivision present" in report.notes
 
 
 def test_audit_k13_fails_honestly():

@@ -231,6 +231,11 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert run(capsys, "count", "--construct", "mystery:n=3")[0] == 2
     assert run(capsys, "count", str(tmp_path / "missing.txt"))[0] == 2
     assert run(capsys, "bounds")[0] == 2
+    # 0 is a given --lower-bound, out of range
+    code, _, err = run(capsys, "bounds", "--lower-bound", "0")
+    assert (code, err) == (2, "error: lower_bound_constant needs k >= 1\n")
+    code, _, err = run(capsys, "count", "--construct", "path_power:n=5")
+    assert (code, err) == (2, "error: construction path_power needs parameter 'k'\n")
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
 
@@ -265,6 +270,18 @@ def test_oracle_limit_exit_3(capsys):
         "17",
     )
     assert code == 0
+    # above the limit, the elimination certificate answers when it holds
+    code, out, _ = run(
+        capsys, "check-subdivision", "--construct", "path_power:n=2000,k=2",
+        "--t", "4",
+    )
+    assert (code, out) == (0, "none\n")
+    code, out, _ = run(
+        capsys, "check-subdivision", "--construct", "path_power:n=2000,k=2",
+        "--t", "4", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["witness"] is None
 
 
 def test_exhaustive_limit_exit_3(capsys):
@@ -525,6 +542,11 @@ def test_bounds_json(capsys):
 def test_bounds_bad_rational_exit_2(capsys):
     assert run(capsys, "bounds", "--refined", "zero", "1/2", "4")[0] == 2
     assert run(capsys, "bounds", "--binom", "10", "0")[0] == 2
+    for argv in (("--binom", "10", "1/0"), ("--refined", "1/0", "1/2", "4"),
+                 ("--refined", "1/10", "0/0", "4")):
+        code, out, err = run(capsys, "bounds", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad fraction") and "zero denominator" in err
 
 
 def test_output_flag_writes_file(capsys, tmp_path):

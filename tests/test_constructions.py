@@ -77,6 +77,23 @@ def test_family_validation():
         random_gnp(5, 2)
 
 
+@pytest.mark.parametrize("text, missing", [
+    ("path_power:n=5", "k"),
+    ("path_power:k=2", "n"),
+    ("complete_multipartite", "k"),
+    ("complete", "n"),
+    ("cycle", "n"),
+    ("random_gnp:n=5", "p"),
+])
+def test_missing_parameter_is_named(text, missing):
+    s = parse_construction_spec(text)
+    with pytest.raises(ValueError, match=f"needs parameter '{missing}'"):
+        generate(s)
+    if s.family != "random_gnp":  # the only family without a closed form
+        with pytest.raises(ValueError, match=f"needs parameter '{missing}'"):
+            predicted_clique_count(s)
+
+
 def test_gnp_seeded_determinism():
     a = random_gnp(9, Fraction(1, 2), seed=7)
     b = random_gnp(9, Fraction(1, 2), seed=7)

@@ -1,24 +1,33 @@
 """Subdivision and minor oracles, witness checking, dense extraction."""
 
+import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clique_census import (
     ExtractionError,
     Graph,
     OracleLimitError,
     SubdivisionWitness,
+    complete,
+    complete_multipartite_222,
+    cycle,
+    degeneracy,
+    elimination_certificate,
     extract_subdivision_dense,
     has_minor,
     has_subdivision,
+    path_power,
     verify_witness,
 )
 
 from brute import find_subdivision_alt
-from strategies import graphs
+from strategies import WORD_EDGE_SIZES, corpus, graphs, grid
 
 
 def k(n):
@@ -186,3 +195,104 @@ def test_extraction_failure_reports_reason():
         assert err.reason in ("precondition", "no_dense_subset", "no_connector")
     else:
         assert verify_witness(g, w, 4)
+
+
+def small_constructions():
+    yield petersen()
+    for n in range(3, 13):
+        yield cycle(n)
+    for n in range(9):
+        yield complete(n)
+    for parts in range(1, 6):
+        yield complete_multipartite_222(parts)
+    for n in range(1, 15):
+        for k in range(5):
+            yield path_power(n, k)
+
+
+def assert_certificate_sound(g, t, oracle_limit=16):
+    """The certificate never holds on a graph the oracle finds a witness in;
+    returns whether it held."""
+    if elimination_certificate(g, t):
+        assert has_subdivision(g, t, oracle_limit=oracle_limit) is None, (g, t)
+        return True
+    return False
+
+
+@given(graphs(max_n=10), st.integers(min_value=0, max_value=7))
+@settings(max_examples=150, deadline=None)
+def test_certificate_sound_on_random_graphs(g, t):
+    assert_certificate_sound(g, t)
+
+
+def test_certificate_sound_on_acceptance_corpus():
+    certified = sum(
+        assert_certificate_sound(g, t, oracle_limit=18)
+        for g in corpus()
+        for t in range(8)
+    )
+    assert certified > 0
+
+
+def test_certificate_sound_on_small_constructions():
+    certified = sum(
+        assert_certificate_sound(g, t)
+        for g in small_constructions()
+        for t in range(8)
+    )
+    assert certified > 0
+
+
+def test_certificate_needs_the_fill():
+    # 2-degenerate, so the degeneracy alone would pass it at t=4, but its
+    # treewidth is 4 and it holds a K_4-subdivision
+    g = grid(4, 4)
+    assert degeneracy(g).d == 2
+    assert has_subdivision(g, 4) is not None
+    assert not elimination_certificate(g, 4)
+    assert elimination_certificate(g, 6)
+
+
+@pytest.mark.parametrize("n", (1, 2, 5, 14, 30, *WORD_EDGE_SIZES))
+def test_certificate_holds_on_path_powers(n):
+    for k in range(7):
+        g = path_power(n, k)
+        peel = degeneracy(g)
+        assert elimination_certificate(g, k + 2, peel)
+        assert elimination_certificate(g, k + 2)
+        if n > k:  # holds K_{k+1}
+            assert not elimination_certificate(g, k + 1, peel)
+
+
+def test_certificate_time_linear_on_long_path_power():
+    seconds = {}
+    for n, repeats in ((10**4, 3), (10**5, 2)):
+        g = path_power(n, 6)
+        peel = degeneracy(g)
+        best = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            assert elimination_certificate(g, 8, peel)
+            best = min(best, time.perf_counter() - start)
+        seconds[n] = best
+    # linear time scales by 10; quadratic would scale by 100
+    assert seconds[10**5] < 40 * seconds[10**4]
+
+
+def test_certificate_holds_on_trees_and_cycles():
+    rng = random.Random(7)
+    for n in range(1, 120):
+        tree = Graph(n, [(v, rng.randrange(v)) for v in range(1, n)])
+        assert elimination_certificate(tree, 3)
+        if n >= 2:
+            assert not elimination_certificate(tree, 2)
+    for n in range(3, 120):
+        assert elimination_certificate(cycle(n), 4)
+        assert not elimination_certificate(cycle(n), 3)
+
+
+def test_certificate_never_holds_on_complete_or_at_t0():
+    for t in range(10):
+        assert not elimination_certificate(complete(t), t)
+    for g in (Graph(0, []), Graph(1, []), path_power(30, 2), petersen()):
+        assert not elimination_certificate(g, 0)
