@@ -244,14 +244,16 @@ def build_skeleton(g: Graph, t: int,
 
     Root children come from the min-degree peel (pass `peel` when g is
     already peeled).  Below root child v the walk runs on the rows of
-    G[v's label], relabelled in order, and maps ids back, as census and
-    enumeration do.  Each child outside the skeleton roots the tree of
-    G[its label], so its subtree is sized by one kernel census of that
-    label on the same rows and never walked.
+    G[v's label], relabelled in order, and maps ids back, as enumeration
+    does.  Each child outside the skeleton roots the tree of G[its
+    label], so its subtree is sized by one kernel census of that label on
+    the same rows and never walked.  The rows and the label determine the
+    size, so equal pairs share one kernel run within the call.
     """
     if t < 1:
         raise ValueError("skeleton rule needs t >= 1")
     nodes: list[SkeletonNode | None] = []
+    hanging_sizes: dict[tuple[tuple[int, ...], int], int] = {}
 
     def local(bits, ids, label):
         """The children of `label`, a mask over the rows `bits` of G[ids]."""
@@ -269,7 +271,10 @@ def build_skeleton(g: Graph, t: int,
             if enters:
                 size = walk(next_index, depth + 1, s, v, local(bits, ids, label))
             else:
-                size = sum(_backend.census_of_subset(bits, label))
+                key = (bits, label)
+                if key not in hanging_sizes:
+                    hanging_sizes[key] = sum(_backend.census_of_subset(bits, label))
+                size = hanging_sizes[key]
             vertices.append(v)
             label_sizes.append(s)
             sizes.append(size)
@@ -281,7 +286,7 @@ def build_skeleton(g: Graph, t: int,
         return next_index - index
 
     walk(0, 0, g.n, None, (
-        (v, rows(g, ids), ids, (1 << len(ids)) - 1)
+        (v, tuple(rows(g, ids)), ids, (1 << len(ids)) - 1)
         for v, ids in _root_children(g, peel)
     ))
     return Skeleton(nodes=tuple(nodes), height=max(node.depth for node in nodes))

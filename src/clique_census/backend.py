@@ -9,9 +9,13 @@ contains, and p pivots, which each of its cliques may or may not contain,
 so a leaf counts C(p, k) cliques of size h + k. Counts are exact Python
 ints, so they never overflow.
 
-Enumeration, build_tree and the audit's skeleton still walk the min-degree
-clique tree, one node per clique; they are the independent reference for
-these counts.
+tree.census runs the kernel on the local graph of each vertex's
+higher-ranked neighbours in (degree, id) order, once per distinct local
+graph. Enumeration, build_tree and the audit's skeleton walk the
+min-degree clique tree, rooted at the min-degree peel, one node per
+clique; they are the independent reference for these counts. The
+skeleton sizes each subtree it does not walk with this kernel, once per
+distinct (rows, label) pair.
 
 There is one kernel, named "pure". The `backend` arguments accept None or
 "pure" and reject every other name with ValueError.

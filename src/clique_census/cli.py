@@ -338,6 +338,10 @@ def _cmd_check_subdivision(args) -> _Report:
 
 def _cmd_check_minor(args) -> _Report:
     g = _resolve_graph(args)
+    # elimination width <= t-2 bounds the treewidth, which a K_t minor
+    # would force up to t-1; the brute-force search is size-limited
+    if elimination_certificate(g, args.t):
+        return _Report({"witness": None}, "none")
     witness = has_minor(g, args.t, oracle_limit=args.oracle_limit)
     if witness is None:
         return _Report({"witness": None}, "none")

@@ -190,10 +190,10 @@ def elimination_certificate(
     g: Graph, t: int, peel: DegeneracyResult | None = None
 ) -> bool:
     """True when eliminating g along its min-degree peel proves that g has
-    no K_t-subdivision; False proves nothing.
+    no K_t minor, and so no K_t-subdivision; False proves nothing.
 
     A K_t-subdivision is a K_t minor, which forces treewidth >= t-1, so an
-    elimination ordering of width <= t-2 excludes it (Bodlaender & Koster,
+    elimination ordering of width <= t-2 excludes both (Bodlaender & Koster,
     "Treewidth computations I. Upper bounds", 2010).  Pass `peel` when g is
     already peeled.  The width is at least the degeneracy, so peel.d > t-2
     rejects at once; otherwise one pass computes the Rose-Tarjan-Lueker

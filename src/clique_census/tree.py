@@ -10,22 +10,24 @@ a node is the set of chosen vertices along its root path.
 The root's choice sequence is exactly the min-degree peeling order of
 degeneracy(g), so the root is split once, in O(m log n): root child v has
 the label L_v of v's neighbours later in the peel, |L_v| <= d, and its
-subtree is the tree of G[L_v] with ids relabelled in order. Census and
-enumeration run on the bit rows of these local graphs (graph.rows), so
-each step below the root costs time in the size of a local subproblem,
-not in n.
+subtree is the tree of G[L_v] with ids relabelled in order. Enumeration,
+build_tree and the audit's skeleton use this split. Enumeration runs on
+the bit rows of these local graphs (graph.rows), so each step below the
+root costs time in the size of a local subproblem, not in n.
 
-Counting and census run the census kernel once per root child and never
-materialize nodes: the kernel counts each child's cliques by pivoting,
-without visiting them. Enumeration walks the subtrees one node per
-clique. build_tree materializes the node structure for inspection,
-subject to a node cap, and descends on the rows of the whole graph, which
-makes it an independent check of the local descents and of the pivot
-census.
+The census needs no tree order, so it orients by (degree, id) instead:
+one sort and no peel. Each vertex's label is its higher-ranked
+neighbours, at most sqrt(2m) of them, and the census kernel counts each
+distinct local graph once, by pivoting, without visiting its cliques or
+materializing nodes. Enumeration walks the subtrees one node per clique.
+build_tree materializes the node structure for inspection, subject to a
+node cap, and descends on the rows of the whole graph, which makes it an
+independent check of the local descents and of the pivot census.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator, NamedTuple
@@ -149,6 +151,25 @@ def _root_children(
         yield v, sorted(u for u in g.adj[v] if pos[u] > i)
 
 
+def _degree_order_labels(g: Graph) -> Iterator[list[int]]:
+    """Yield, for each vertex in id order, the sorted list of its
+    neighbours ranked above it in (degree, id) order.
+
+    Any acyclic orientation puts each nonempty clique below exactly one of
+    its vertices, the lowest ranked (Chiba and Nishizeki, "Arboricity and
+    subgraph listing algorithms", SIAM J. Comput. 1985). Under this order
+    a vertex has at most sqrt(2m) higher-ranked neighbours, and the
+    squares of the label sizes sum to at most 2 a m, a the arboricity.
+    """
+    adj = g.adj
+    rank = [0] * g.n
+    # sorted is stable, so equal degrees keep increasing id order
+    for i, v in enumerate(sorted(range(g.n), key=lambda v: len(adj[v]))):
+        rank[v] = i
+    for v, r in enumerate(rank):
+        yield sorted(u for u in adj[v] if rank[u] > r)
+
+
 def _label_children(bits, label: int) -> Iterator[tuple[int, int]]:
     """Yield (v, child label) for the children of a node labelled `label`,
     in child order, by the min-degree descent on the rows `bits`."""
@@ -218,22 +239,25 @@ def census(g: Graph, threads: int = 1, backend: str | None = None) -> CliqueCens
 
     Depth-k tree nodes are exactly the k-cliques, so the census is also
     the per-depth node count of the tree. The list is trimmed after the
-    last nonzero entry. The work is always split at the root, one kernel
-    job per root child on its local graph of at most d vertices; the
-    kernel counts each job's cliques by pivoting, in exact integers,
-    without visiting each clique.
-    `threads` is accepted and has no effect: the jobs run one after
-    another. `backend` may be None or "pure", the one kernel; any other
-    value raises ValueError.
+    last nonzero entry. Each vertex v counts the cliques whose
+    lowest-ranked vertex is v in (degree, id) order: v plus any clique of
+    its local graph, the subgraph on its higher-ranked neighbours, which
+    has at most sqrt(2m) vertices. The kernel counts a local graph's
+    cliques by pivoting, in exact integers, without visiting each clique,
+    and runs once per distinct local graph: the bit rows, relabelled in
+    id order, determine the counts, so equal rows share one run.
+    `threads` is accepted and has no effect. `backend` may be None or
+    "pure", the one kernel; any other value raises ValueError.
     """
     _backend.check_backend(backend)
+    local_graphs = Counter(tuple(rows(g, ids)) for ids in _degree_order_labels(g))
     counts = [1]
-    for _, ids in _root_children(g):
-        res = _backend.census_of_subset(rows(g, ids), (1 << len(ids)) - 1)
+    for bits, times in local_graphs.items():
+        res = _backend.census_of_subset(bits, (1 << len(bits)) - 1)
         if len(counts) <= len(res):
             counts.extend([0] * (len(res) + 1 - len(counts)))
         for d, c in enumerate(res, start=1):
-            counts[d] += c
+            counts[d] += c * times
     return CliqueCensus(tuple(counts))
 
 

@@ -38,6 +38,24 @@ def grid(rows, cols):
     return Graph(rows * cols, edges)
 
 
+def hub_path_with_leaves(path_len):
+    """A hub (id 0) joined to every vertex of a path on ids 1..path_len,
+    each path vertex carrying path_len - 1 private leaves.
+
+    The graph is 2-degenerate, but every path vertex has a higher degree
+    than the hub, so in (degree, id) order the hub's higher-ranked
+    neighbours are the whole path: out-degree path_len against d = 2.
+    """
+    edges = [(0, v) for v in range(1, path_len + 1)]
+    edges += [(v, v + 1) for v in range(1, path_len)]
+    leaf = path_len + 1
+    for v in range(1, path_len + 1):
+        for _ in range(path_len - 1):
+            edges.append((v, leaf))
+            leaf += 1
+    return Graph(leaf, edges)
+
+
 @st.composite
 def graphs(draw, max_n=10, min_n=0):
     n = draw(st.integers(min_value=min_n, max_value=max_n))

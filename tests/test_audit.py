@@ -19,6 +19,7 @@ from clique_census import (
     bound_degenerate,
     build_skeleton,
     build_tree,
+    census,
     check_binom_sum_inequality,
     complete,
     complete_multipartite_222,
@@ -30,6 +31,7 @@ from clique_census import (
 )
 from clique_census.graph import Graph
 
+from brute import brute_census
 from strategies import WORD_EDGE_SIZES, graphs, grid, word_edge_graphs
 
 
@@ -151,6 +153,34 @@ def seeded_gnp(n, p, seed):
 def test_streaming_skeleton_matches_tree_hypothesis(g):
     for t in (1, 2, 4):
         assert_skeleton_matches_tree(g, t)
+
+
+@given(graphs(max_n=12))
+@settings(max_examples=60)
+def test_degree_order_census_matches_peel_skeleton(g):
+    # census orients by (degree, id), the skeleton by the min-degree peel
+    # with memoized hanging sizes; both count every clique once
+    counts = census(g)
+    assert list(counts.counts) == brute_census(g)
+    for t in (1, 2, 4):
+        assert build_skeleton(g, t).tree_size == counts.total
+
+
+def test_skeleton_sizes_each_hanging_subtree_once(monkeypatch):
+    # at t=8 every root child of path_power(n, 6) hangs, and its label
+    # induces one of K_0, ..., K_6
+    calls = []
+    kernel = audit_module._backend.census_of_subset
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(audit_module._backend, "census_of_subset", counted)
+    skel = build_skeleton(path_power(1000, 6), 8)
+    assert skel.tree_size == 2**6 * (1000 - 5)
+    assert skel.hanging_count == 1000
+    assert len(calls) <= 7
 
 
 def test_streaming_skeleton_matches_tree_across_word_edges():

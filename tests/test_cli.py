@@ -284,6 +284,20 @@ def test_oracle_limit_exit_3(capsys):
     assert json.loads(out)["witness"] is None
 
 
+def test_check_minor_certificate_above_oracle_limit(capsys):
+    # elimination width 2 excludes a K_4 minor at any size
+    code, out, _ = run(
+        capsys, "check-minor", "--construct", "path_power:n=2000,k=2", "--t", "4"
+    )
+    assert (code, out) == (0, "none\n")
+    # without the certificate the search is still limited
+    code, _, err = run(
+        capsys, "check-minor", "--construct", "complete:n=17", "--t", "4"
+    )
+    assert code == 3
+    assert "limited to" in err
+
+
 def test_exhaustive_limit_exit_3(capsys):
     code, _, err = run(
         capsys, "sparse-check", "--construct", "complete:n=23", "--t", "4"

@@ -20,14 +20,15 @@ from clique_census import (
     count_cliques,
     enumerate_cliques,
     induced_subgraph,
+    path_power,
     subtree_at,
     subtree_bound_check,
 )
 from clique_census.graph import degeneracy, rows
-from clique_census.tree import _root_children, trees_isomorphic
+from clique_census.tree import _degree_order_labels, _root_children, trees_isomorphic
 
 from brute import brute_census, brute_cliques, extension_census
-from strategies import WORD_EDGE_SIZES, graphs, word_edge_graphs
+from strategies import WORD_EDGE_SIZES, graphs, hub_path_with_leaves, word_edge_graphs
 
 
 def k(n):
@@ -207,6 +208,52 @@ def test_root_split_at_word_edges(n):
         assert [v for v, _ in split] == list(order)
         for i, (v, ids) in enumerate(split):
             assert ids == sorted(g.adj[v] & set(order[i + 1:]))
+
+
+def kernel_calls(monkeypatch, fn, *args):
+    """(result of fn(*args), number of kernel runs it made)."""
+    calls = []
+    kernel = clique_census.backend.census_of_subset
+
+    def counted(*a, **kw):
+        calls.append(1)
+        return kernel(*a, **kw)
+
+    with monkeypatch.context() as m:
+        m.setattr(clique_census.backend, "census_of_subset", counted)
+        result = fn(*args)
+    return result, len(calls)
+
+
+def test_census_runs_the_kernel_once_per_local_graph(monkeypatch):
+    # in (degree, id) order every local graph of path_power(n, 6) is one
+    # of K_0, ..., K_6
+    res, calls = kernel_calls(monkeypatch, census, path_power(1000, 6))
+    assert res.total == 2**6 * (1000 - 5)
+    assert calls <= 7
+    # copies of one component rank alike, so they share every kernel run
+    part = clique_census.random_gnp(14, 0.4, seed=3)
+    copies = 5
+    union = Graph(copies * part.n, [(u + i * part.n, v + i * part.n)
+                                   for i in range(copies) for u, v in part.edges()])
+    one, calls_one = kernel_calls(monkeypatch, census, part)
+    res, calls = kernel_calls(monkeypatch, census, union)
+    assert calls == calls_one
+    assert res.counts == (1,) + tuple(copies * c for c in one.counts[1:])
+
+
+@pytest.mark.parametrize("path_len", [65, 130])
+def test_census_where_degree_order_is_far_from_the_peel(path_len):
+    # the hub's local graph is the whole path, past one or two 64-bit
+    # words, while the peel gives every vertex at most d = 2 later ones
+    g = hub_path_with_leaves(path_len)
+    assert degeneracy(g).d == 2
+    assert max(map(len, _degree_order_labels(g))) == path_len
+    expected = extension_census(g)
+    assert list(census(g).counts) == expected
+    tree = build_tree(g)
+    assert tree.census_counts() == expected
+    tree.discard()
 
 
 def test_enumerate_with_isolated_vertices():
