@@ -1,12 +1,12 @@
 """Census time at n = 10^4 and 10^5, before and after a change to `census`.
 
     python3 benchmarks/census_orientation.py --parent REV
-        [--sizes 10000 100000] [--repeats 3] [--out BENCH_census_orientation.json]
+        [--out BENCH_census_orientation.json]
 
 Times `census(g)` on two sparse families with the sources of git revision
 REV ("parent" rows) and with the sources of this checkout ("change"
 rows). Each row runs in a fresh interpreter that imports only that side's
-`src/`, builds the graph, runs the census `repeats` times and reports
+`src/`, builds the graph, runs the census REPEATS times and reports
 every time, the median, the counts and its peak resident size (VmHWM,
 which includes building the graph). Parent and change alternate which
 runs first from one row to the next, so drift of the machine's speed
@@ -72,6 +72,8 @@ print(json.dumps({"m": g.edge_count, "seconds": seconds,
 """
 
 NAMES = {"path_power": "path_power({n},6)", "gnp": "gnp({n},10/n)"}
+SIZES = (10_000, 100_000)
+REPEATS = 3
 
 
 def export_src(rev: str, dest: Path) -> str:
@@ -85,9 +87,9 @@ def export_src(rev: str, dest: Path) -> str:
     return sha
 
 
-def measure(src: Path, family: str, n: int, repeats: int) -> dict:
+def measure(src: Path, family: str, n: int) -> dict:
     out = subprocess.run([sys.executable, "-c", _CHILD, str(src), family, str(n),
-                          str(repeats)], check=True, capture_output=True, text=True,
+                          str(REPEATS)], check=True, capture_output=True, text=True,
                          timeout=3600)
     return json.loads(out.stdout.strip().splitlines()[-1])
 
@@ -95,8 +97,6 @@ def measure(src: Path, family: str, n: int, repeats: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent rows")
-    parser.add_argument("--sizes", type=int, nargs="+", default=[10_000, 100_000])
-    parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--out", default=str(ROOT / "BENCH_census_orientation.json"))
     args = parser.parse_args(argv)
 
@@ -110,10 +110,10 @@ def main(argv=None) -> int:
         sources = {"parent": Path(tmp) / "src", "change": ROOT / "src"}
         turn = 0
         for family in NAMES:
-            for n in args.sizes:
+            for n in SIZES:
                 sides = ("parent", "change") if turn % 2 == 0 else ("change", "parent")
                 turn += 1
-                got = {side: measure(sources[side], family, n, args.repeats)
+                got = {side: measure(sources[side], family, n)
                        for side in sides}
                 name = NAMES[family].format(n=n)
                 for side in ("parent", "change"):
@@ -129,15 +129,13 @@ def main(argv=None) -> int:
                         problems.append(f"{side} {name}: check failed ({row['check']})")
                     rows.append(row)
                     print(f"{side:6s} {name:20s} m={row['m']} "
-                          f"census {row['median_s']:.3f} s (median of {args.repeats}) "
+                          f"census {row['median_s']:.3f} s (median of {REPEATS}) "
                           f"peak {row['peak_rss_mb']:.0f} MB total={total}"
                           + ("" if ok else "  CHECK FAILED"))
 
     report = {
         "what": "census(g) seconds per graph, parent sources against this checkout's",
-        "command": "python3 benchmarks/census_orientation.py --parent " + args.parent
-                   + " --sizes " + " ".join(map(str, args.sizes))
-                   + f" --repeats {args.repeats}",
+        "command": "python3 benchmarks/census_orientation.py --parent " + args.parent,
         "parent": parent_sha,
         "change": f"src/ of the checkout at {head}" + (", with uncommitted edits"
                                                           if modified else ""),
