@@ -22,7 +22,6 @@ from .graph import (
     degeneracy,
     induced_subgraph,
     load_graph,
-    min_degree_vertex,
     parse_dimacs,
     parse_graph,
     serialize,
@@ -31,14 +30,10 @@ from .tree import (
     CliqueCensus,
     CliqueSearchTree,
     CliqueTreeNode,
-    RootedSubtree,
     build_tree,
     census,
     count_cliques,
     enumerate_cliques,
-    subtree_at,
-    subtree_bound_check,
-    trees_isomorphic,
 )
 from .sparsity import (
     SparsityCertificate,

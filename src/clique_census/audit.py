@@ -30,7 +30,7 @@ from .subdivision import (
 from .tree import (
     DEFAULT_NODE_CAP,
     _label_children,
-    _root_children,
+    _later_neighbours,
     count_cliques,
 )
 from .tree import build_tree  # noqa: F401  unused here; traced by this name
@@ -38,8 +38,9 @@ from .tree import build_tree  # noqa: F401  unused here; traced by this name
 # perfbench/layers.py times the audit by replacing names in this module
 # (degeneracy, induced_subgraph, count_cliques, build_skeleton,
 # audit_boundary_cases, audit_dense_window, audit_skeleton_size,
-# audit_total, the subdivision oracles and build_tree), so the audit calls
-# each of them through its module-level name.
+# audit_total and the subdivision oracles), so the audit calls each of
+# them through its module-level name.  It also wraps build_tree here,
+# which the audit never calls; the import above only keeps that name.
 
 AUDIT_DPS = 50
 
@@ -58,6 +59,8 @@ class AuditConfig:
             raise ValueError("audit needs t >= 1")
         if self.node_cap < 1:
             raise ValueError("node_cap must be positive")
+        if self.oracle_limit < 0:
+            raise ValueError("oracle_limit must be non-negative")
 
     def to_json(self) -> dict:
         return {
@@ -252,6 +255,8 @@ def build_skeleton(g: Graph, t: int,
     """
     if t < 1:
         raise ValueError("skeleton rule needs t >= 1")
+    if peel is None:
+        peel = degeneracy(g)
     nodes: list[SkeletonNode | None] = []
     hanging_sizes: dict[tuple[tuple[int, ...], int], int] = {}
 
@@ -287,7 +292,7 @@ def build_skeleton(g: Graph, t: int,
 
     walk(0, 0, g.n, None, (
         (v, tuple(rows(g, ids)), ids, (1 << len(ids)) - 1)
-        for v, ids in _root_children(g, peel)
+        for v, ids in _later_neighbours(g, peel.ordering)
     ))
     return Skeleton(nodes=tuple(nodes), height=max(node.depth for node in nodes))
 

@@ -17,8 +17,10 @@ clique; they are the independent reference for these counts. The
 skeleton sizes each subtree it does not walk with this kernel, once per
 distinct (rows, label) pair.
 
-There is one kernel, named "pure". The `backend` arguments accept None or
-"pure" and reject every other name with ValueError.
+There is one kernel, named "pure". census keeps a `backend` argument
+that accepts None or "pure" and rejects every other name with
+ValueError (check_backend); available_backends and default_backend
+name the one kernel.
 """
 
 from __future__ import annotations
@@ -42,15 +44,15 @@ def check_backend(backend: str | None) -> None:
         raise ValueError(f"unknown backend {backend!r}")
 
 
-def census_of_subset(bits, start_mask: int, backend: str | None = None) -> list[int]:
+def census_of_subset(bits, start_mask: int) -> list[int]:
     """Per-size clique counts of the subgraph induced on start_mask, in the
     graph whose adjacency rows are `bits`.
 
     counts[k] is the number of k-cliques; counts[0] == 1 for the empty
     clique. Trailing zero entries are trimmed. These are also the per-depth
     node counts of the min-degree clique tree below that candidate set.
-    Raises ValueError for a negative mask, one with bits at or above
-    len(bits), or an unknown backend.
+    Raises ValueError for a negative mask or one with bits at or above
+    len(bits).
 
     At a candidate set S the pivot u is the candidate with the most
     neighbours in S (smallest id on ties). One branch keeps u as a pivot and
@@ -61,7 +63,6 @@ def census_of_subset(bits, start_mask: int, backend: str | None = None) -> list[
     which is the leaf the pivot chain below it would reach.
     """
     check_mask(len(bits), start_mask)
-    check_backend(backend)
     leaves: dict[tuple[int, int], int] = {}  # (held, pivots) -> leaf count
     stack = [(start_mask, 0, 0)]
     while stack:

@@ -278,26 +278,6 @@ def min_degree_in(bits, mask: int) -> int:
     return best_v
 
 
-def min_degree_vertex(g: Graph, vertices: Iterable[int] | int | None = None) -> int:
-    """Vertex of minimum degree within the induced subgraph on `vertices`.
-
-    `vertices` may be an iterable of ids or a bitmask; None means all of g.
-    Ties break toward the smallest id. Errors on an empty set and on ids or
-    mask bits outside 0..n-1.
-    """
-    if vertices is None:
-        ids = range(g.n)
-    elif isinstance(vertices, int):
-        check_mask(g.n, vertices)
-        ids = mask_vertices(vertices)
-    else:
-        ids = sorted(set(vertices))
-    if not ids:
-        raise ValueError("vertex set is empty")
-    # rows relabel in sorted order, so the local tie-break is the global one
-    return ids[min_degree_in(rows(g, ids), (1 << len(ids)) - 1)]
-
-
 class DegeneracyResult(NamedTuple):
     d: int
     ordering: tuple[int, ...]

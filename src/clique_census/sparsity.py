@@ -9,9 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .errors import OracleLimitError
 from .graph import Graph, degeneracy, mask_vertices, rows
+from .tree import _later_neighbours
 
 DEFAULT_EXHAUSTIVE_LIMIT = 22
 
@@ -85,7 +87,10 @@ def check_local_sparsity(
     Peeling mode checks only the vertex sets arising along a min-degree
     peeling order; it is one-sided, reporting either a concrete violation
     or "unknown". Any violation witness is itself a qualifying subset.
+    Raises ValueError for a negative exhaustive_limit.
     """
+    if exhaustive_limit < 0:
+        raise ValueError("exhaustive_limit must be non-negative")
     beta, threshold = params.beta, params.n_threshold
     if mode == "exhaustive":
         if g.n > exhaustive_limit:
@@ -109,13 +114,9 @@ def check_local_sparsity(
         # and the removed vertex's degree there counts its later neighbours
         p, q = beta.numerator, beta.denominator
         order = degeneracy(g).ordering
-        pos = [0] * g.n
-        for i, v in enumerate(order):
-            pos[v] = i
-        for i in range(g.n - threshold + 1):
-            v = order[i]
-            deg = sum(1 for u in g.adj[v] if pos[u] > i)
-            if deg * q > p * (g.n - i):
+        steps = islice(_later_neighbours(g, order), max(0, g.n - threshold + 1))
+        for i, (_, later) in enumerate(steps):
+            if len(later) * q > p * (g.n - i):
                 return SparsityCertificate(
                     "violated", "peeling", params, frozenset(order[i:])
                 )
@@ -126,13 +127,7 @@ def check_local_sparsity(
 def lemma_sparsity_params(m: int, t: int) -> SparsityParams:
     """Sparsity parameters for a dense window of m vertices at clique-order t:
     beta = 1 - m / (2 t^2), N = ceil(20 t / 11)."""
-    if t < 1:
-        raise ValueError("t must be at least 1")
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    beta = 1 - Fraction(m, 2 * t * t)
-    threshold = -((-20 * t) // 11)
-    return SparsityParams(beta, max(1, threshold))
+    return generalized_sparsity_params(m, t, Fraction(1, 10), Fraction(1, 2))[0]
 
 
 def generalized_sparsity_params(m: int, t: int, alpha, beta) -> tuple[SparsityParams, Fraction]:
@@ -142,8 +137,8 @@ def generalized_sparsity_params(m: int, t: int, alpha, beta) -> tuple[SparsityPa
     (1 - beta m / t^2, t / (1 - 2 alpha - beta/2))-locally sparse.
 
     Returns (SparsityParams, size_bound) with all values exact rationals
-    (the threshold N is rounded up to an integer). At (alpha, beta) =
-    (1/10, 1/2) this reproduces lemma_sparsity_params.
+    (the threshold N is rounded up to an integer). lemma_sparsity_params
+    is the case (alpha, beta) = (1/10, 1/2).
     """
     if t < 1:
         raise ValueError("t must be at least 1")

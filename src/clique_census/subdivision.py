@@ -239,10 +239,13 @@ def has_subdivision(
     """Exhaustive search for a K_t-subdivision; a witness or None.
 
     t <= 2 is decided directly on any size of graph.  For t >= 3 the
-    graph must fit under oracle_limit.
+    graph must fit under oracle_limit.  Raises ValueError for a negative
+    t or oracle_limit.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
+    if oracle_limit < 0:
+        raise ValueError("oracle_limit must be non-negative")
     if t == 0:
         return SubdivisionWitness((), ())
     if t == 1:
@@ -301,10 +304,13 @@ def has_minor(g: Graph, t: int, oracle_limit: int = DEFAULT_MINOR_LIMIT):
     """Brute-force K_t-minor search; a tuple of branch sets or None.
 
     Branch sets are disjoint, each induces a connected subgraph, and
-    every pair is joined by at least one edge.
+    every pair is joined by at least one edge.  Raises ValueError for a
+    negative t or oracle_limit.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
+    if oracle_limit < 0:
+        raise ValueError("oracle_limit must be non-negative")
     if g.n > oracle_limit:
         raise OracleLimitError(
             f"minor search limited to {oracle_limit} vertices, got {g.n}"

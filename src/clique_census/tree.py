@@ -7,21 +7,26 @@ of the subgraph induced on the current L (smallest id on ties), attaching a
 child labelled L intersect N(v), and then removing v from L. The clique at
 a node is the set of chosen vertices along its root path.
 
-The root's choice sequence is exactly the min-degree peeling order of
-degeneracy(g), so the root is split once, in O(m log n): root child v has
-the label L_v of v's neighbours later in the peel, |L_v| <= d, and its
-subtree is the tree of G[L_v] with ids relabelled in order. Enumeration,
-build_tree and the audit's skeleton use this split. Enumeration runs on
-the bit rows of these local graphs (graph.rows), so each step below the
-root costs time in the size of a local subproblem, not in n.
+Every count and walk here splits the graph the same way: order the
+vertices, then give each vertex v the label of its neighbours after it in
+that order (_later_neighbours). Each clique then lies below exactly one
+vertex, its first in the order, as that vertex plus a clique of G[label].
 
-The census needs no tree order, so it orients by (degree, id) instead:
-one sort and no peel. Each vertex's label is its higher-ranked
-neighbours, at most sqrt(2m) of them, and the census kernel counts each
-distinct local graph once, by pivoting, without visiting its cliques or
-materializing nodes. Enumeration walks the subtrees one node per clique.
-build_tree materializes the node structure for inspection, subject to a
-node cap, and descends on the rows of the whole graph, which makes it an
+- The root's choice sequence is exactly the min-degree peeling order of
+  degeneracy(g), so under the peel the labels are the root children's:
+  |L_v| <= d, and v's subtree is the tree of G[L_v] with ids relabelled
+  in order. Enumeration, build_tree and the audit's skeleton use this
+  split. Enumeration runs on the bit rows of these local graphs
+  (graph.rows), so each step below the root costs time in the size of a
+  local subproblem, not in n.
+- The census needs no tree order, so it orders by (degree, id): one sort
+  and no peel. A label then has at most sqrt(2m) vertices, and the census
+  kernel counts each distinct local graph once, by pivoting, without
+  visiting its cliques or materializing nodes.
+
+Enumeration walks the subtrees one node per clique. build_tree
+materializes the node structure for inspection, subject to a node cap,
+and descends on the rows of the whole graph, which makes it an
 independent check of the local descents and of the pivot census.
 """
 
@@ -29,19 +34,20 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import comb
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from . import backend as _backend
 from .errors import CapacityError
 from .graph import (
-    DegeneracyResult,
     Graph,
     degeneracy,
     mask_vertices,
     min_degree_in,
     rows,
 )
+
+# perfbench/layers.py times the peel by replacing `degeneracy` in this
+# module, so the root split calls it through its module-level name.
 
 DEFAULT_NODE_CAP = 10_000_000
 
@@ -115,10 +121,6 @@ class CliqueSearchTree:
             self._subtree_sizes = sizes
         return self._subtree_sizes
 
-    def contains(self, node: CliqueTreeNode) -> bool:
-        i = node.index - self.root.index
-        return 0 <= i < len(self.nodes) and self.nodes[i] is node
-
     def discard(self) -> None:
         """Empty every node's child list; the tree is unusable afterwards.
 
@@ -126,48 +128,24 @@ class CliqueSearchTree:
         pass of the cyclic garbage collector reclaims. Breaking them lets
         the nodes go as soon as the last reference to the tree does, so
         a caller done with a large tree gets its memory back at once.
-        Views from subtree_at share nodes and are emptied too.
+        Re-rooted views share the nodes and are emptied too.
         """
         for node in self.nodes:
             node.children.clear()
 
 
-def _root_children(
-    g: Graph, peel: DegeneracyResult | None = None
-) -> Iterator[tuple[int, list[int]]]:
-    """Yield (v, label of v's root child) in the root's child order.
+def _later_neighbours(g: Graph, order) -> Iterator[tuple[int, list[int]]]:
+    """Yield (v, sorted list of v's neighbours after v in `order`), for
+    each vertex v in `order`.
 
-    The label is the sorted list of v's neighbours later in the peel.
-    Children are streamed, so no list of all n labels is ever held. A
-    caller that has already peeled g passes the result as `peel`, so g is
-    not peeled again.
+    Each edge lies in exactly one label, at whichever endpoint comes
+    first. Labels are streamed, so no list of all n labels is ever held.
     """
-    if peel is None:
-        peel = degeneracy(g)
     pos = [0] * g.n
-    for i, v in enumerate(peel.ordering):
+    for i, v in enumerate(order):
         pos[v] = i
-    for i, v in enumerate(peel.ordering):
+    for i, v in enumerate(order):
         yield v, sorted(u for u in g.adj[v] if pos[u] > i)
-
-
-def _degree_order_labels(g: Graph) -> Iterator[list[int]]:
-    """Yield, for each vertex in id order, the sorted list of its
-    neighbours ranked above it in (degree, id) order.
-
-    Any acyclic orientation puts each nonempty clique below exactly one of
-    its vertices, the lowest ranked (Chiba and Nishizeki, "Arboricity and
-    subgraph listing algorithms", SIAM J. Comput. 1985). Under this order
-    a vertex has at most sqrt(2m) higher-ranked neighbours, and the
-    squares of the label sizes sum to at most 2 a m, a the arboricity.
-    """
-    adj = g.adj
-    rank = [0] * g.n
-    # sorted is stable, so equal degrees keep increasing id order
-    for i, v in enumerate(sorted(range(g.n), key=lambda v: len(adj[v]))):
-        rank[v] = i
-    for v, r in enumerate(rank):
-        yield sorted(u for u in adj[v] if rank[u] > r)
 
 
 def _label_children(bits, label: int) -> Iterator[tuple[int, int]]:
@@ -201,7 +179,7 @@ def build_tree(g: Graph, node_cap: int = DEFAULT_NODE_CAP) -> CliqueSearchTree:
         return child
 
     bits = rows(g)
-    for v, later in _root_children(g):
+    for v, later in _later_neighbours(g, degeneracy(g).ordering):
         label = sum(1 << u for u in later)
         top = attach(root, v, label)
         stack: list[tuple[CliqueTreeNode, int]] = [(top, label)]
@@ -241,8 +219,12 @@ def census(g: Graph, threads: int = 1, backend: str | None = None) -> CliqueCens
     the per-depth node count of the tree. The list is trimmed after the
     last nonzero entry. Each vertex v counts the cliques whose
     lowest-ranked vertex is v in (degree, id) order: v plus any clique of
-    its local graph, the subgraph on its higher-ranked neighbours, which
-    has at most sqrt(2m) vertices. The kernel counts a local graph's
+    its local graph, the subgraph on its higher-ranked neighbours. Any
+    acyclic orientation counts each clique once this way (Chiba and
+    Nishizeki, "Arboricity and subgraph listing algorithms", SIAM J.
+    Comput. 1985); under this one a local graph has at most sqrt(2m)
+    vertices, and the squares of their sizes sum to at most 2 a m, a the
+    arboricity. The kernel counts a local graph's
     cliques by pivoting, in exact integers, without visiting each clique,
     and runs once per distinct local graph: the bit rows, relabelled in
     id order, determine the counts, so equal rows share one run.
@@ -250,7 +232,9 @@ def census(g: Graph, threads: int = 1, backend: str | None = None) -> CliqueCens
     "pure", the one kernel; any other value raises ValueError.
     """
     _backend.check_backend(backend)
-    local_graphs = Counter(tuple(rows(g, ids)) for ids in _degree_order_labels(g))
+    # sorted is stable, so equal degrees keep increasing id order
+    by_degree = sorted(range(g.n), key=lambda v: len(g.adj[v]))
+    local_graphs = Counter(tuple(rows(g, ids)) for _, ids in _later_neighbours(g, by_degree))
     counts = [1]
     for bits, times in local_graphs.items():
         res = _backend.census_of_subset(bits, (1 << len(bits)) - 1)
@@ -261,10 +245,9 @@ def census(g: Graph, threads: int = 1, backend: str | None = None) -> CliqueCens
     return CliqueCensus(tuple(counts))
 
 
-def count_cliques(g: Graph, threads: int = 1, backend: str | None = None) -> int:
-    """Total number of cliques of g, the empty clique included; the
-    arguments are as for census."""
-    return census(g, threads=threads, backend=backend).total
+def count_cliques(g: Graph) -> int:
+    """Total number of cliques of g, the empty clique included."""
+    return census(g).total
 
 
 def _clique_tuples(g: Graph) -> Iterator[tuple[int, ...]]:
@@ -276,7 +259,7 @@ def _clique_tuples(g: Graph) -> Iterator[tuple[int, ...]]:
     the label, so no step scans n-bit masks.
     """
     yield ()
-    for v, ids in _root_children(g):
+    for v, ids in _later_neighbours(g, degeneracy(g).ordering):
         top = (v,)
         yield top
         if not ids:
@@ -309,112 +292,3 @@ def enumerate_cliques(g: Graph) -> Iterator[frozenset[int]]:
     proportional to the depth of the tree, not to the clique count.
     """
     yield from map(frozenset, _clique_tuples(g))
-
-
-def subtree_at(tree: CliqueSearchTree, node: CliqueTreeNode) -> CliqueSearchTree:
-    """The subtree on `node` and its descendants, re-rooted at `node`.
-
-    Nodes are shared with the original tree; labels keep original ids and
-    depths keep their absolute values (use depth_of for relative depth).
-    """
-    if not tree.contains(node):
-        raise ValueError("node does not belong to this tree")
-    size = tree.subtree_sizes()[node.index]
-    start = node.index - tree.root.index
-    return CliqueSearchTree(tree.graph, node, tree.nodes[start:start + size])
-
-
-class RootedSubtree:
-    """A subtree of a clique search tree containing the root and closed
-    under taking parents."""
-
-    def __init__(self, tree: CliqueSearchTree, included):
-        self.tree = tree
-        self.included = frozenset(included)
-        if tree.root.index not in self.included:
-            raise ValueError("rooted subtree must contain the root")
-        base = tree.root.index
-        for idx in self.included:
-            i = idx - base
-            if not (0 <= i < len(tree.nodes)):
-                raise ValueError(f"node index {idx} not in tree")
-            node = tree.nodes[i]
-            if node is not tree.root and node.parent.index not in self.included:
-                raise ValueError(
-                    f"node {idx} included without its parent {node.parent.index}"
-                )
-
-    @property
-    def size(self) -> int:
-        return len(self.included)
-
-    def node(self, idx: int) -> CliqueTreeNode:
-        return self.tree.nodes[idx - self.tree.root.index]
-
-    def boundary_nodes(self) -> list[CliqueTreeNode]:
-        """Included nodes with at least one child outside the subtree."""
-        out = []
-        for idx in sorted(self.included):
-            node = self.node(idx)
-            if any(c.index not in self.included for c in node.children):
-                out.append(node)
-        return out
-
-    def excluded_children(self, node: CliqueTreeNode) -> list[CliqueTreeNode]:
-        return [c for c in node.children if c.index not in self.included]
-
-
-class BoundCheck(NamedTuple):
-    lhs: int
-    rhs: int
-    holds: bool
-
-
-def subtree_bound_check(tree: CliqueSearchTree, t: int,
-                        sub: RootedSubtree) -> BoundCheck:
-    """Check |tree| <= |sub| * sum_{i<t} C(m, i), m the largest boundary label.
-
-    Valid whenever the graph has no clique of t vertices (the caller is
-    expected to know this, for instance from the census). Exact integers
-    throughout.
-    """
-    if sub.tree is not tree:
-        raise ValueError("subtree does not belong to this tree")
-    if t < 1:
-        raise ValueError("t must be positive")
-    boundary = sub.boundary_nodes()
-    m = max((node.label_size for node in boundary), default=0)
-    rhs = sub.size * sum(comb(m, i) for i in range(t))
-    lhs = tree.node_count
-    return BoundCheck(lhs, rhs, lhs <= rhs)
-
-
-def trees_isomorphic(a: CliqueSearchTree, b: CliqueSearchTree,
-                     vertex_map: dict[int, int] | None = None) -> bool:
-    """Structural equality of two trees as rooted ordered labelled trees.
-
-    vertex_map translates a's vertex ids into b's; None means identity.
-    Chosen vertices and full labels must correspond under the map.
-    """
-
-    def translate(bits: int) -> int:
-        if vertex_map is None:
-            return bits
-        out = 0
-        for v in mask_vertices(bits):
-            out |= 1 << vertex_map[v]
-        return out
-
-    stack = [(a.root, b.root)]
-    while stack:
-        x, y = stack.pop()
-        if translate(x.label_bits) != y.label_bits:
-            return False
-        if len(x.children) != len(y.children):
-            return False
-        for cx, cy in zip(x.children, y.children):
-            vx = cx.chosen_vertex if vertex_map is None else vertex_map[cx.chosen_vertex]
-            if vx != cy.chosen_vertex:
-                return False
-            stack.append((cx, cy))
-    return True

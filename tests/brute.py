@@ -1,10 +1,18 @@
 """Independent brute-force oracles used only by the test suite.
 
-Everything here works from the edge list alone and avoids the package's
-search-tree machinery, so agreement is meaningful.
+The oracles work from the edge list alone and avoid the package's
+search-tree machinery, so agreement is meaningful. The search-tree
+helpers at the end (re-rooting, rooted subtrees, the counting-through-a-
+subtree bound and tree isomorphism) work on trees from build_tree; the
+tests use them to check the paper's subtree property.
 """
 
 from itertools import combinations
+from math import comb
+from typing import NamedTuple
+
+from clique_census.graph import mask_vertices
+from clique_census.tree import CliqueSearchTree, CliqueTreeNode
 
 
 def adjacency_masks(g) -> list[int]:
@@ -167,3 +175,117 @@ def find_subdivision_alt(g, t) -> bool:
         if route(list(combinations(branch, 2)), used, 0):
             return True
     return False
+
+
+def contains(tree: CliqueSearchTree, node: CliqueTreeNode) -> bool:
+    i = node.index - tree.root.index
+    return 0 <= i < len(tree.nodes) and tree.nodes[i] is node
+
+
+def subtree_at(tree: CliqueSearchTree, node: CliqueTreeNode) -> CliqueSearchTree:
+    """The subtree on `node` and its descendants, re-rooted at `node`.
+
+    Nodes are shared with the original tree; labels keep original ids and
+    depths keep their absolute values (use depth_of for relative depth).
+    """
+    if not contains(tree, node):
+        raise ValueError("node does not belong to this tree")
+    size = tree.subtree_sizes()[node.index]
+    start = node.index - tree.root.index
+    return CliqueSearchTree(tree.graph, node, tree.nodes[start:start + size])
+
+
+class RootedSubtree:
+    """A subtree of a clique search tree containing the root and closed
+    under taking parents."""
+
+    def __init__(self, tree: CliqueSearchTree, included):
+        self.tree = tree
+        self.included = frozenset(included)
+        if tree.root.index not in self.included:
+            raise ValueError("rooted subtree must contain the root")
+        base = tree.root.index
+        for idx in self.included:
+            i = idx - base
+            if not (0 <= i < len(tree.nodes)):
+                raise ValueError(f"node index {idx} not in tree")
+            node = tree.nodes[i]
+            if node is not tree.root and node.parent.index not in self.included:
+                raise ValueError(
+                    f"node {idx} included without its parent {node.parent.index}"
+                )
+
+    @property
+    def size(self) -> int:
+        return len(self.included)
+
+    def node(self, idx: int) -> CliqueTreeNode:
+        return self.tree.nodes[idx - self.tree.root.index]
+
+    def boundary_nodes(self) -> list[CliqueTreeNode]:
+        """Included nodes with at least one child outside the subtree."""
+        out = []
+        for idx in sorted(self.included):
+            node = self.node(idx)
+            if any(c.index not in self.included for c in node.children):
+                out.append(node)
+        return out
+
+    def excluded_children(self, node: CliqueTreeNode) -> list[CliqueTreeNode]:
+        return [c for c in node.children if c.index not in self.included]
+
+
+class BoundCheck(NamedTuple):
+    lhs: int
+    rhs: int
+    holds: bool
+
+
+def subtree_bound_check(tree: CliqueSearchTree, t: int,
+                        sub: RootedSubtree) -> BoundCheck:
+    """Check |tree| <= |sub| * sum_{i<t} C(m, i), m the largest boundary label.
+
+    Valid whenever the graph has no clique of t vertices (the caller is
+    expected to know this, for instance from the census). Exact integers
+    throughout.
+    """
+    if sub.tree is not tree:
+        raise ValueError("subtree does not belong to this tree")
+    if t < 1:
+        raise ValueError("t must be positive")
+    boundary = sub.boundary_nodes()
+    m = max((node.label_size for node in boundary), default=0)
+    rhs = sub.size * sum(comb(m, i) for i in range(t))
+    lhs = tree.node_count
+    return BoundCheck(lhs, rhs, lhs <= rhs)
+
+
+def trees_isomorphic(a: CliqueSearchTree, b: CliqueSearchTree,
+                     vertex_map: dict[int, int] | None = None) -> bool:
+    """Structural equality of two trees as rooted ordered labelled trees.
+
+    vertex_map translates a's vertex ids into b's; None means identity.
+    Chosen vertices and full labels must correspond under the map.
+    """
+
+    def translate(bits: int) -> int:
+        if vertex_map is None:
+            return bits
+        out = 0
+        for v in mask_vertices(bits):
+            out |= 1 << vertex_map[v]
+        return out
+
+    stack = [(a.root, b.root)]
+    while stack:
+        x, y = stack.pop()
+        if translate(x.label_bits) != y.label_bits:
+            return False
+        if len(x.children) != len(y.children):
+            return False
+        for cx, cy in zip(x.children, y.children):
+            vx = cx.chosen_vertex if vertex_map is None else vertex_map[cx.chosen_vertex]
+            if vx != cy.chosen_vertex:
+                return False
+            stack.append((cx, cy))
+    return True

@@ -18,7 +18,6 @@ from math import comb, log2
 from clique_census import (
     AuditConfig,
     Graph,
-    RootedSubtree,
     audit_graph,
     bound_degenerate,
     build_tree,
@@ -36,13 +35,16 @@ from clique_census import (
     path_power,
     petersen,
     refined_exponents,
-    subtree_at,
-    subtree_bound_check,
-    trees_isomorphic,
     verify_witness,
 )
 
-from brute import brute_census
+from brute import (
+    RootedSubtree,
+    brute_census,
+    subtree_at,
+    subtree_bound_check,
+    trees_isomorphic,
+)
 from strategies import corpus
 
 

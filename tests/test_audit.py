@@ -297,6 +297,9 @@ def test_config_validation():
         AuditConfig(t=0)
     with pytest.raises(ValueError):
         AuditConfig(t=4, node_cap=0)
+    with pytest.raises(ValueError):
+        AuditConfig(t=4, oracle_limit=-1)
+    assert AuditConfig(t=4, oracle_limit=0).oracle_limit == 0
 
 
 def test_dense_window_clean_pass():

@@ -43,7 +43,6 @@ def test_threaded_census_agrees(g):
     single = census(g, threads=1)
     for threads in (2, 3):
         assert census(g, threads=threads).counts == single.counts
-        assert count_cliques(g, threads=threads) == single.total
 
 
 @given(graphs(max_n=10), st.integers(min_value=0, max_value=(1 << 10) - 1))
@@ -52,24 +51,22 @@ def test_census_of_subset_restricts(g, mask):
     full = g.full_mask()
     mask &= full
     sub, _ = induced_subgraph(g, mask_vertices(mask))
-    for name in available_backends():
-        counts = census_of_subset(rows(g), full, name)
-        assert counts[0] == 1
-        assert sum(counts) == count_cliques(g)
-        # empty candidate set: only the empty clique
-        assert census_of_subset(rows(g), 0, name) == [1]
-        # any other set: the cliques of the subgraph it induces
-        assert census_of_subset(rows(g), mask, name) == brute_census(sub)
+    counts = census_of_subset(rows(g), full)
+    assert counts[0] == 1
+    assert sum(counts) == count_cliques(g)
+    # empty candidate set: only the empty clique
+    assert census_of_subset(rows(g), 0) == [1]
+    # any other set: the cliques of the subgraph it induces
+    assert census_of_subset(rows(g), mask) == brute_census(sub)
 
 
 @pytest.mark.parametrize("mask", [-1, 1 << 5, 1 << 100, 0b10_0001])
 def test_census_of_subset_rejects_masks_outside_the_graph(mask):
     g = Graph(5, [(0, 1), (1, 2)])
-    for name in available_backends():
-        with pytest.raises(ValueError):
-            census_of_subset(rows(g), mask, name)
     with pytest.raises(ValueError):
-        census_of_subset(rows(Graph(0, [])), 1, "pure")
+        census_of_subset(rows(g), mask)
+    with pytest.raises(ValueError):
+        census_of_subset(rows(Graph(0, [])), 1)
 
 
 def test_pivot_census_of_complete_graph_is_exact_past_64_bits():
@@ -110,5 +107,3 @@ def test_unknown_backend_rejected():
             census(g, backend=name)
         with pytest.raises(ValueError):
             census(Graph(0, []), backend=name)
-        with pytest.raises(ValueError):
-            census_of_subset(rows(g), g.full_mask(), name)

@@ -236,6 +236,17 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert (code, err) == (2, "error: lower_bound_constant needs k >= 1\n")
     code, _, err = run(capsys, "count", "--construct", "path_power:n=5")
     assert (code, err) == (2, "error: construction path_power needs parameter 'k'\n")
+    # a negative limit is a usage error, not a limit hit
+    for argv in (
+        ["check-subdivision", "--construct", "petersen", "--t", "5", "--oracle-limit", "-1"],
+        ["check-minor", "--construct", "petersen", "--t", "5", "--oracle-limit", "-1"],
+        ["sparse-check", "--construct", "petersen", "--t", "5", "--exhaustive-limit", "-1"],
+        ["audit", "--construct", "petersen", "--t", "5", "--oracle-limit", "-1"],
+        ["audit", "--construct", "petersen", "--t", "5", "--node-cap", "-1"],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "must be non-negative" in err or "must be positive" in err
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
 

@@ -13,7 +13,6 @@ from clique_census import (
     average_degree,
     degeneracy,
     induced_subgraph,
-    min_degree_vertex,
     parse_dimacs,
     parse_graph,
     serialize,
@@ -204,21 +203,13 @@ def test_induced_subgraph_edges(g, data):
             assert sub.has_edge(i, j) == g.has_edge(new_to_old[i], new_to_old[j])
 
 
-def test_min_degree_vertex_ties_break_low():
+def test_min_degree_in_ties_break_low():
     g = Graph(3, [(0, 1), (0, 2), (1, 2)])
-    assert min_degree_vertex(g) == 0
+    assert min_degree_in(rows(g), g.full_mask()) == 0
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert min_degree_vertex(star) == 1
+    assert min_degree_in(rows(star), star.full_mask()) == 1
     # within {0, 3}: deg(0)=1, deg(3)=1, tie -> 0
-    assert min_degree_vertex(star, 0b1001) == 0
-    with pytest.raises(ValueError):
-        min_degree_vertex(g, 0)
-    with pytest.raises(ValueError):
-        min_degree_vertex(g, [7])
-    # bitmasks must lie within 0..n-1 too
-    for mask in (-1, 1 << 3, 0b1011, 1 << 100):
-        with pytest.raises(ValueError):
-            min_degree_vertex(g, mask)
+    assert min_degree_in(rows(star), 0b1001) == 0
 
 
 @given(graphs(max_n=12), st.integers(min_value=1, max_value=(1 << 12) - 1))
@@ -229,7 +220,7 @@ def test_min_degree_in_is_lowest_min_degree(g, mask):
     vertices = mask_vertices(mask)
     degrees = {v: len(g.adj[v] & set(vertices)) for v in vertices}
     expected = min(vertices, key=lambda v: (degrees[v], v))
-    assert min_degree_in(rows(g), mask) == expected == min_degree_vertex(g, mask)
+    assert min_degree_in(rows(g), mask) == expected
 
 
 def test_min_degree_in_stops_at_degree_zero():

@@ -38,6 +38,11 @@ def test_lemma_params():
     assert p.beta == 1 - Fraction(10, 32)
     assert p.n_threshold == 8  # ceil(80/11)
     assert lemma_sparsity_params(0, 1).n_threshold == 2
+    # the closed form beta = 1 - m / (2 t^2), N = ceil(20 t / 11)
+    for t in range(1, 60):
+        for m in range(0, 400, 7):
+            expected = SparsityParams(1 - Fraction(m, 2 * t * t), -((-20 * t) // 11))
+            assert lemma_sparsity_params(m, t) == expected
 
 
 def test_generalized_reproduces_lemma():
@@ -86,6 +91,11 @@ def test_exhaustive_limit():
         Graph(11, []), SparsityParams(Fraction(1, 2), 2), exhaustive_limit=11
     )
     assert cert.verdict == "sparse"
+    # a negative limit is a usage error in either mode, not a limit hit
+    for mode in ("exhaustive", "peeling"):
+        with pytest.raises(ValueError):
+            check_local_sparsity(Graph(3, []), SparsityParams(Fraction(1, 2), 2),
+                                 mode=mode, exhaustive_limit=-1)
 
 
 def test_bad_mode():

@@ -101,6 +101,12 @@ def test_oracle_limit():
     assert has_subdivision(Graph(40, [(0, 1)]), 2) is not None
     with pytest.raises(OracleLimitError):
         has_minor(Graph(40, [(0, 1)]), 2)
+    # a negative limit is a usage error at every t, not a limit hit
+    for t in (2, 4):
+        with pytest.raises(ValueError):
+            has_subdivision(k(3), t, oracle_limit=-1)
+        with pytest.raises(ValueError):
+            has_minor(k(3), t, oracle_limit=-1)
 
 
 def test_minor_known_instances():

@@ -13,7 +13,6 @@ import clique_census
 from clique_census import (
     CapacityError,
     Graph,
-    RootedSubtree,
     build_tree,
     census,
     census_of_subset,
@@ -21,13 +20,19 @@ from clique_census import (
     enumerate_cliques,
     induced_subgraph,
     path_power,
-    subtree_at,
-    subtree_bound_check,
 )
 from clique_census.graph import degeneracy, rows
-from clique_census.tree import _degree_order_labels, _root_children, trees_isomorphic
+from clique_census.tree import _later_neighbours
 
-from brute import brute_census, brute_cliques, extension_census
+from brute import (
+    RootedSubtree,
+    brute_census,
+    brute_cliques,
+    extension_census,
+    subtree_at,
+    subtree_bound_check,
+    trees_isomorphic,
+)
 from strategies import WORD_EDGE_SIZES, graphs, hub_path_with_leaves, word_edge_graphs
 
 
@@ -71,7 +76,7 @@ def test_count_matches_tree_node_count(g):
     assert tree.node_count == count_cliques(g)
     assert list(tree.census_counts()) == list(census(g).counts)
     # the pivot kernel on the whole graph, without the root split
-    assert census_of_subset(rows(g), g.full_mask(), "pure") == tree.census_counts()
+    assert census_of_subset(rows(g), g.full_mask()) == tree.census_counts()
 
 
 @given(graphs(max_n=8))
@@ -187,6 +192,30 @@ def _assert_public_enumeration(g, tree):
     assert cliques == [node.clique() for node in tree.nodes]
 
 
+def by_degree(g):
+    """The census's vertex order: (degree, id)."""
+    return sorted(range(g.n), key=lambda v: (len(g.adj[v]), v))
+
+
+def assert_split_invariants(g):
+    """Under the peel and under (degree, id), each edge lies in exactly
+    one label; under the peel every label has at most d vertices."""
+    peel = degeneracy(g)
+    for order in (peel.ordering, by_degree(g)):
+        labels = {v: set(ids) for v, ids in _later_neighbours(g, order)}
+        assert list(labels) == list(order)
+        assert sum(map(len, labels.values())) == g.edge_count
+        for v, label in labels.items():
+            assert label <= g.adj[v]
+            assert all(v not in labels[u] for u in label)
+    assert all(len(ids) <= peel.d for _, ids in _later_neighbours(g, peel.ordering))
+
+
+@given(graphs())
+def test_later_neighbours_split_each_edge_once(g):
+    assert_split_invariants(g)
+
+
 @pytest.mark.parametrize("n", WORD_EDGE_SIZES)
 def test_root_split_at_word_edges(n):
     for g in word_edge_graphs(n):
@@ -196,7 +225,7 @@ def test_root_split_at_word_edges(n):
         assert count_cliques(g) == sum(expected)
         tree = build_tree(g)
         assert tree.census_counts() == expected
-        assert census_of_subset(rows(g), g.full_mask(), "pure") == expected
+        assert census_of_subset(rows(g), g.full_mask()) == expected
         _assert_public_enumeration(g, tree)
         # root children follow the peel; each label is the later neighbours
         order = degeneracy(g).ordering
@@ -204,10 +233,11 @@ def test_root_split_at_word_edges(n):
         for i, child in enumerate(tree.root.children):
             assert child.label == g.adj[order[i]] & set(order[i + 1:])
         # the streamed split gives the same labels as sorted id lists
-        split = list(_root_children(g))
-        assert [v for v, _ in split] == list(order)
-        for i, (v, ids) in enumerate(split):
+        for i, (v, ids) in enumerate(_later_neighbours(g, order)):
+            assert v == order[i]
             assert ids == sorted(g.adj[v] & set(order[i + 1:]))
+        assert_split_invariants(g)
+
 
 
 def kernel_calls(monkeypatch, fn, *args):
@@ -248,7 +278,7 @@ def test_census_where_degree_order_is_far_from_the_peel(path_len):
     # words, while the peel gives every vertex at most d = 2 later ones
     g = hub_path_with_leaves(path_len)
     assert degeneracy(g).d == 2
-    assert max(map(len, _degree_order_labels(g))) == path_len
+    assert max(len(ids) for _, ids in _later_neighbours(g, by_degree(g))) == path_len
     expected = extension_census(g)
     assert list(census(g).counts) == expected
     tree = build_tree(g)
@@ -260,7 +290,7 @@ def test_enumerate_with_isolated_vertices():
     # 0, 4 and 7 are isolated, and every vertex last in its component's
     # peel has an empty root-child label too
     g = Graph(8, [(1, 2), (2, 3), (1, 3), (5, 6)])
-    root_labels = [label for _, label in _root_children(g)]
+    root_labels = [label for _, label in _later_neighbours(g, degeneracy(g).ordering)]
     assert root_labels.count([]) == 5
     _assert_public_enumeration(g, build_tree(g))
     assert set(enumerate_cliques(g)) == brute_cliques(g)
@@ -273,10 +303,10 @@ import sys
 sys.path.insert(0, sys.argv[1])
 from clique_census import path_power
 from clique_census.graph import degeneracy
-from clique_census.tree import _root_children
+from clique_census.tree import _later_neighbours
 g = path_power(int(sys.argv[2]), 6)
 peel = degeneracy(g)
-assert sum(len(ids) for _, ids in _root_children(g, peel)) == g.edge_count
+assert sum(len(ids) for _, ids in _later_neighbours(g, peel.ordering)) == g.edge_count
 with open("/proc/self/status") as fh:
     print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")))
 """
