@@ -9,12 +9,14 @@ is the bare payload or a human-readable summary.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
+from bisect import bisect_left
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, chain, islice
 from typing import Iterator, NamedTuple, TextIO
 
 from .audit import (
@@ -46,7 +48,7 @@ from .subdivision import (
     has_minor,
     has_subdivision,
 )
-from .tree import DEFAULT_NODE_CAP, _clique_tuples, census, count_cliques
+from .tree import DEFAULT_NODE_CAP, _clique_blocks, census, count_cliques
 from .tree import enumerate_cliques  # noqa: F401  unused here; traced by this name
 
 EXIT_OK = 0
@@ -58,7 +60,10 @@ class _UsageError(Exception):
     pass
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parse_args leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="clique-census",
         description="Clique counting, containment oracles, and bound audits.",
@@ -269,12 +274,50 @@ def _cmd_census(args) -> _Report:
 _LISTING_BATCH = 4096
 
 
-def _json_clique(clique, name) -> str:
-    """One clique as json.dumps(..., indent=2) prints it inside "cliques";
-    name(v) is the decimal string of vertex v."""
-    if not clique:
-        return "[]"
-    return "[\n      " + ",\n      ".join(map(name, sorted(clique))) + "\n    ]"
+def _block_lines(chosen, tail, name, sep) -> Iterator[str]:
+    """Yield the lines of one block of _clique_blocks: for each clique
+    chosen + S, S a subset of tail in lexicographic order, its names in
+    increasing id order joined by sep; name(v) is the decimal string of v.
+
+    Tail ids increase along S, so a line extends its parent's prefix by
+    the chosen names between the parent's last tail id and the new one,
+    then the new id's name, and ends with the chosen names above it.
+    """
+    cs = sorted(chosen)
+    if not tail:
+        yield sep.join(map(name, cs))
+        return
+    items = [name(v) + sep for v in cs]
+    head = "".join(items)  # every chosen name followed by sep
+    yield head[:-len(sep)]
+    # cut[j]: where the chosen names below tail[j] end in head
+    offset = list(accumulate(map(len, items), initial=0))
+    cut = [offset[bisect_left(cs, t)] for t in tail]
+    ends = [name(t) + sep for t in tail]
+    lines = [(end + head[c:])[:-len(sep)] for end, c in zip(ends, cut)]
+    # the current clique ends in tail[j]; prefix holds its names up to
+    # offset low of head, the cut of its previous tail id. The stack holds
+    # (prefix, low, j) of the next sibling of each shorter clique.
+    stack = []
+    prefix, low, j, last = "", 0, 0, len(tail) - 1
+    while True:
+        base = prefix + head[low:cut[j]]
+        yield base + lines[j]
+        if j < last:
+            stack.append((prefix, low, j + 1))
+            prefix, low, j = base + ends[j], cut[j], j + 1
+        elif stack:
+            prefix, low, j = stack.pop()
+        else:
+            return
+
+
+def _listing(g: Graph, sep: str) -> Iterator[str]:
+    """Every clique of g as the line _block_lines makes of it, in the
+    order of enumerate_cliques."""
+    name = [str(v) for v in range(g.n)].__getitem__
+    return chain.from_iterable(_block_lines(chosen, tail, name, sep)
+                               for chosen, tail in _clique_blocks(g))
 
 
 def _write_joined(out: TextIO, items: Iterator[str], sep: str) -> None:
@@ -288,8 +331,6 @@ def _write_joined(out: TextIO, items: Iterator[str], sep: str) -> None:
 def _cmd_enumerate(args) -> int:
     """Stream the listing in batches instead of building one _Report."""
     g = _resolve_graph(args)
-    name = [str(v) for v in range(g.n)].__getitem__
-    cliques = _clique_tuples(g)
     with _output(args) as out:
         if args.format == "json":
             # the same bytes as json.dumps of the whole payload, indent=2;
@@ -297,10 +338,12 @@ def _cmd_enumerate(args) -> int:
             head = json.dumps({"config": _config_dict(args), "cliques": None}, indent=2)
             prefix, suffix = head.rsplit("null", 1)
             out.write(prefix + "[\n    ")
-            _write_joined(out, (_json_clique(c, name) for c in cliques), ",\n    ")
+            cliques = (f"[\n      {line}\n    ]" if line else "[]"
+                       for line in _listing(g, ",\n      "))
+            _write_joined(out, cliques, ",\n    ")
             out.write("\n  ]" + suffix + "\n")
         else:
-            _write_joined(out, (" ".join(map(name, sorted(c))) for c in cliques), "\n")
+            _write_joined(out, _listing(g, " "), "\n")
             out.write("\n")
     return EXIT_OK
 
@@ -322,7 +365,15 @@ def _cmd_generate(args) -> _Report:
     )
 
 
+def _check_oracle_limit(args) -> None:
+    """Reject a negative --oracle-limit before the certificate can answer
+    without the oracle that checks it."""
+    if args.oracle_limit < 0:
+        raise _UsageError("oracle_limit must be non-negative")
+
+
 def _cmd_check_subdivision(args) -> _Report:
+    _check_oracle_limit(args)
     g = _resolve_graph(args)
     # the certificate answers "none" at any size; the oracle is exhaustive
     if elimination_certificate(g, args.t):
@@ -337,6 +388,7 @@ def _cmd_check_subdivision(args) -> _Report:
 
 
 def _cmd_check_minor(args) -> _Report:
+    _check_oracle_limit(args)
     g = _resolve_graph(args)
     # elimination width <= t-2 bounds the treewidth, which a K_t minor
     # would force up to t-1; the brute-force search is size-limited

@@ -24,10 +24,16 @@ vertex, its first in the order, as that vertex plus a clique of G[label].
   kernel counts each distinct local graph once, by pivoting, without
   visiting its cliques or materializing nodes.
 
-Enumeration walks the subtrees one node per clique. build_tree
-materializes the node structure for inspection, subject to a node cap,
-and descends on the rows of the whole graph, which makes it an
-independent check of the local descents and of the pivot census.
+Enumeration walks the subtrees down to the nodes whose label is a
+clique (possibly empty) and no further: on a clique every degree is
+equal, so the descent picks the smallest id each time, and the subtree's
+preorder is the node's clique plus each subset of the label in
+lexicographic order. Such a node comes out as one block, the enumeration
+twin of the census kernel's clique leaf. build_tree materializes the
+node structure for inspection, subject to a node cap, and descends on
+the rows of the whole graph, one node per clique, which makes it an
+independent check of the local descents, the blocks and the pivot
+census.
 """
 
 from __future__ import annotations
@@ -250,25 +256,48 @@ def count_cliques(g: Graph) -> int:
     return census(g).total
 
 
-def _clique_tuples(g: Graph) -> Iterator[tuple[int, ...]]:
-    """Yield every clique of g as a tuple of ids in the order they were
-    chosen, in depth-first child-creation order, the empty clique first.
+def _is_clique(bits, label: int) -> bool:
+    """Whether the vertices of `label` are pairwise adjacent in the rows
+    `bits`; the scan stops at the first vertex that misses one."""
+    m = label
+    while m:
+        low = m & -m
+        if bits[low.bit_length() - 1] & label != label ^ low:
+            return False
+        m ^= low
+    return True
+
+
+def _clique_blocks(g: Graph) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Yield every clique of g in blocks (chosen, tail), in depth-first
+    child-creation order, the empty clique first.
+
+    `chosen` holds a node's clique as ids in the order they were chosen;
+    `tail` is the node's label as sorted ids when that label is a clique
+    (possibly empty), and () otherwise. A block stands for the cliques
+    chosen + S, for every S contained in tail, in lexicographic order with
+    S = () first: on a clique every degree is equal, so the min-degree
+    descent picks the smallest id each time, and this is the preorder of
+    the node's subtree. A node with a clique label is therefore never
+    descended into, as the census kernel stops at a clique leaf.
 
     Below each root child the descent runs on the rows of the child's
     local graph, which has at most d vertices, and maps ids back through
     the label, so no step scans n-bit masks.
     """
-    yield ()
+    yield (), ()
     for v, ids in _later_neighbours(g, degeneracy(g).ordering):
         top = (v,)
-        yield top
-        if not ids:
-            continue
         bits = rows(g, ids)
+        full = (1 << len(ids)) - 1
+        if _is_clique(bits, full):
+            yield top, tuple(ids)
+            continue
+        yield top, ()
         # entries are (nonempty label left, clique of the node whose
         # children it yields); the new child's entry goes on top, so its
         # subtree comes before its later siblings
-        stack: list[tuple[int, tuple[int, ...]]] = [((1 << len(ids)) - 1, top)]
+        stack: list[tuple[int, tuple[int, ...]]] = [(full, top)]
         while stack:
             remaining, chosen = stack.pop()
             u = min_degree_in(bits, remaining)
@@ -276,10 +305,34 @@ def _clique_tuples(g: Graph) -> Iterator[tuple[int, ...]]:
             if rest:
                 stack.append((rest, chosen))
             clique = chosen + (ids[u],)
-            yield clique
             child = remaining & bits[u]
-            if child:
+            if _is_clique(bits, child):
+                yield clique, tuple(ids[w] for w in mask_vertices(child))
+            else:
+                yield clique, ()
                 stack.append((child, clique))
+
+
+def _block_cliques(chosen: tuple[int, ...], tail: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Yield chosen + S for every S contained in tail, in lexicographic
+    order, S = () first."""
+    yield chosen
+    if not tail:
+        return
+    # the current clique is pre + (tail[j],); the stack holds (pre, j) of
+    # the next sibling of each shorter clique on its way
+    stack: list[tuple[tuple[int, ...], int]] = []
+    pre, j, last = chosen, 0, len(tail) - 1
+    while True:
+        clique = pre + (tail[j],)
+        yield clique
+        if j < last:
+            stack.append((pre, j + 1))
+            pre, j = clique, j + 1
+        elif stack:
+            pre, j = stack.pop()
+        else:
+            return
 
 
 def enumerate_cliques(g: Graph) -> Iterator[frozenset[int]]:
@@ -288,7 +341,10 @@ def enumerate_cliques(g: Graph) -> Iterator[frozenset[int]]:
     The empty clique comes first, and the order is the preorder of
     build_tree(g). Below each root child the cliques come from the
     search tree of the child's label, relabelled in order, so a step
-    costs time in the local graph's size, not in n. Memory stays
+    costs time in the local graph's size, not in n. A node whose label is
+    a clique comes as one block, its subtree's cliques in lexicographic
+    order (_clique_blocks), without descending into it. Memory stays
     proportional to the depth of the tree, not to the clique count.
     """
-    yield from map(frozenset, _clique_tuples(g))
+    for chosen, tail in _clique_blocks(g):
+        yield from map(frozenset, _block_cliques(chosen, tail))

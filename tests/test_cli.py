@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stdout
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -139,15 +140,33 @@ def test_enumerate_text_across_write_batches(tmp_path):
     _assert_text_listing(g, tmp_path)
 
 
-def test_enumerate_json_across_write_batches(capsys):
-    g = complete_multipartite_222(8)
-    code, out, _ = run(capsys, "enumerate", "--construct", "complete_multipartite:k=8",
-                       "--format", "json")
+def _assert_json_listing(capsys, g, spec):
+    code, out, _ = run(capsys, "enumerate", "--construct", spec, "--format", "json")
     assert code == 0
-    cliques = [sorted(c) for c in enumerate_cliques(g)]
-    assert len(cliques) > cli._LISTING_BATCH
+    cliques = [sorted(node.clique()) for node in build_tree(g).nodes]
     payload = {"config": json.loads(out)["config"], "cliques": cliques}
     assert out == json.dumps(payload, indent=2) + "\n"
+
+
+def test_enumerate_json_across_write_batches(capsys):
+    g = complete_multipartite_222(8)
+    assert 3 ** 8 > cli._LISTING_BATCH
+    _assert_json_listing(capsys, g, "complete_multipartite:k=8")
+
+
+def test_enumerate_block_larger_than_a_write_batch(capsys, tmp_path):
+    # the first root child of K_14 is one block: 0 plus any subset of 1..13
+    g = complete(14)
+    assert 2 ** 13 > cli._LISTING_BATCH
+    _assert_text_listing(g, tmp_path)
+    _assert_json_listing(capsys, g, "complete:n=14")
+
+
+def test_enumerate_streams_a_block():
+    # K_40's first block alone holds 2^39 lines; they come one at a time
+    lines = list(islice(cli._listing(complete(40), " "), 10))
+    assert lines == ["", "0", "0 1", "0 1 2", "0 1 2 3", "0 1 2 3 4", "0 1 2 3 4 5",
+                     "0 1 2 3 4 5 6", "0 1 2 3 4 5 6 7", "0 1 2 3 4 5 6 7 8"]
 
 
 def test_generate_then_count_roundtrip(capsys, tmp_path):
@@ -251,6 +270,13 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_parser_is_built_once(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    # a failed parse leaves the shared parser usable
+    assert main(["count", "--format", "yaml"]) == 2
+    assert run(capsys, "count", "--construct", "path_power:n=20,k=3")[:2] == (0, "144\n")
+
+
 def test_parse_error_exit_2(capsys, tmp_path):
     f = tmp_path / "bad.txt"
     f.write_text("3 1\n0 7\n")
@@ -293,6 +319,15 @@ def test_oracle_limit_exit_3(capsys):
     )
     assert code == 0
     assert json.loads(out)["witness"] is None
+
+
+@pytest.mark.parametrize("command", ["check-subdivision", "check-minor"])
+def test_negative_oracle_limit_rejected_before_certificate(capsys, command):
+    # the certificate alone would answer "none" on this graph
+    code, out, err = run(capsys, command, "--construct", "path_power:n=2000,k=2",
+                         "--t", "4", "--oracle-limit", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: oracle_limit must be non-negative\n"
 
 
 def test_check_minor_certificate_above_oracle_limit(capsys):

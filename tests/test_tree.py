@@ -22,7 +22,7 @@ from clique_census import (
     path_power,
 )
 from clique_census.graph import degeneracy, rows
-from clique_census.tree import _later_neighbours
+from clique_census.tree import _clique_blocks, _later_neighbours
 
 from brute import (
     RootedSubtree,
@@ -91,6 +91,16 @@ def test_enumerate_exactly_once(g):
 def test_enumeration_order_matches_tree(g):
     tree = build_tree(g)
     assert [node.clique() for node in tree.nodes] == list(enumerate_cliques(g))
+
+
+@given(graphs())
+def test_block_tails_are_cliques_joined_to_chosen(g):
+    for chosen, tail in _clique_blocks(g):
+        assert list(tail) == sorted(set(tail))
+        assert not set(tail) & set(chosen)
+        for i, u in enumerate(tail):
+            assert all(g.has_edge(u, v) for v in tail[i + 1:]), (chosen, tail)
+            assert all(g.has_edge(u, v) for v in chosen), (chosen, tail)
 
 
 @given(graphs())
