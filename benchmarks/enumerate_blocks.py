@@ -3,21 +3,22 @@
     python3 benchmarks/enumerate_blocks.py --parent REV
         [--out BENCH_enumerate_blocks.json]
 
-Times `clique-census enumerate GRAPH --output FILE` with the sources of git
-revision REV ("parent" rows) and with the sources of this checkout
-("change" rows). Each row runs in a fresh interpreter that imports only
-that side's `src/`, writes the graph as an edge-list file, then runs the
-CLI's `main` REPEATS times and reports every time (graph load, listing
-and writes), the median, the listing's line count, size and SHA-256
-digest, and its peak resident size (VmHWM). Parent and change alternate
+Times `clique-census enumerate GRAPH --output FILE`, in text and with
+`--format json`, with the sources of git revision REV ("parent" rows) and
+with the sources of this checkout ("change" rows). Each row runs in a
+fresh interpreter that imports only that side's `src/`, writes the graph
+as an edge-list file, then runs the CLI's `main` REPEATS times per format
+and reports every time (graph load, listing and writes), the median, each
+listing's clique count, size and SHA-256 digest, and the peak resident
+size (VmHWM) over both formats. Parent and change alternate
 which runs first from one row to the next, so drift of the machine's
 speed falls on both sides.
 
 Graphs: `complete_multipartite_222(12)` (3^12 cliques, most of them below
 non-clique labels near the root), `path_power(10^4, 6)` and
 `path_power(10^5, 6)` (2^6 (n - 5) cliques, nearly all in blocks of 64).
-The change's listing must be byte-identical to the parent's, and its
-line count must equal the closed form.
+The change's listings must be byte-identical to the parent's, and their
+clique counts must equal the closed form.
 
 The script exits 1, after writing the file, if any check fails.
 """
@@ -39,32 +40,46 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # Runs in a fresh interpreter: argv is src, family, n, repeats, work dir.
 _CHILD = r"""
-import hashlib, json, statistics, sys, time
+import hashlib, json, os, statistics, sys, time
 sys.path.insert(0, sys.argv[1])
 import clique_census as cc
 import clique_census.cli
 family, n, repeats, work = sys.argv[2], int(sys.argv[3]), int(sys.argv[4]), sys.argv[5]
 g = cc.complete_multipartite_222(n) if family == "multipartite" else cc.path_power(n, 6)
-graph, listing = work + "/graph.txt", work + "/listing.txt"
+# relative paths: the JSON config echoes the graph's path, which must not
+# differ between the two sides
+os.chdir(work)
+graph, listing = "graph.txt", "listing.txt"
 with open(graph, "w") as fh:
     fh.write(cc.serialize(g))
-seconds = []
-for _ in range(repeats):
-    t0 = time.perf_counter()
-    code = clique_census.cli.main(["enumerate", graph, "--output", listing])
-    seconds.append(time.perf_counter() - t0)
-    assert code == 0, code
-digest, lines, size = hashlib.sha256(), 0, 0
-with open(listing, "rb") as fh:
-    while chunk := fh.read(1 << 20):
-        digest.update(chunk)
-        lines += chunk.count(b"\n")
-        size += len(chunk)
+# time `repeats` runs; return the seconds, the number of `mark` bytes in
+# the listing, its size and its digest
+def run(fmt, mark):
+    seconds = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        code = clique_census.cli.main(["enumerate", graph, "--format", fmt,
+                                       "--output", listing])
+        seconds.append(time.perf_counter() - t0)
+        assert code == 0, code
+    digest, marks, size = hashlib.sha256(), 0, 0
+    with open(listing, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+            marks += chunk.count(mark)
+            size += len(chunk)
+    return seconds, marks, size, digest.hexdigest()
+seconds, lines, size, sha = run("text", b"\n")
+# one "]" closes each clique and one the list; the config holds none
+json_seconds, json_marks, json_size, json_sha = run("json", b"]")
 with open("/proc/self/status") as fh:
     peak = next(int(l.split()[1]) for l in fh if l.startswith("VmHWM:")) / 1024
 print(json.dumps({"m": g.edge_count, "seconds": seconds,
                   "median_s": statistics.median(seconds), "lines": lines,
-                  "bytes": size, "sha256": digest.hexdigest(), "peak_rss_mb": peak}))
+                  "bytes": size, "sha256": sha, "json_seconds": json_seconds,
+                  "json_median_s": statistics.median(json_seconds),
+                  "json_cliques": json_marks - 1, "json_bytes": json_size,
+                  "json_sha256": json_sha, "peak_rss_mb": peak}))
 """
 
 # (family, n, name, clique count)
@@ -114,20 +129,23 @@ def main(argv=None) -> int:
             got = {side: measure(sources[side], family, n) for side in sides}
             for side in ("parent", "change"):
                 row = {"side": side, "graph": name, "n": n, **got[side],
-                       "check": "lines == clique count, sha256 == parent's sha256"}
-                ok = (row["lines"] == cliques
-                      and row["sha256"] == got["parent"]["sha256"])
+                       "check": "lines == json_cliques == clique count, sha256 and "
+                                "json_sha256 == parent's"}
+                ok = (row["lines"] == row["json_cliques"] == cliques
+                      and row["sha256"] == got["parent"]["sha256"]
+                      and row["json_sha256"] == got["parent"]["json_sha256"])
                 if not ok:
                     problems.append(f"{side} {name}: check failed ({row['check']})")
                 rows.append(row)
-                print(f"{side:6s} {name:30s} enumerate {row['median_s']:.3f} s "
-                      f"(median of {REPEATS}) peak {row['peak_rss_mb']:.0f} MB "
-                      f"lines={row['lines']} sha256={row['sha256'][:12]}"
+                print(f"{side:6s} {name:30s} enumerate {row['median_s']:.3f} s, "
+                      f"json {row['json_median_s']:.3f} s (medians of {REPEATS}) "
+                      f"peak {row['peak_rss_mb']:.0f} MB lines={row['lines']} "
+                      f"sha256={row['sha256'][:12]} json={row['json_sha256'][:12]}"
                       + ("" if ok else "  CHECK FAILED"))
 
     report = {
-        "what": "CLI enumerate seconds per graph (load, listing, writes), "
-                "parent sources against this checkout's",
+        "what": "CLI enumerate seconds per graph (load, listing, writes), text "
+                "and --format json, parent sources against this checkout's",
         "command": "python3 benchmarks/enumerate_blocks.py --parent " + args.parent,
         "parent": parent_sha,
         "change": f"src/ of the checkout at {head}" + (", with uncommitted edits"

@@ -16,7 +16,6 @@ import sys
 from bisect import bisect_left
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import accumulate, chain, islice
 from typing import Iterator, NamedTuple, TextIO
 
 from .audit import (
@@ -270,80 +269,126 @@ def _cmd_census(args) -> _Report:
     )
 
 
-# lines per write of a listing: few writes, and memory bounded by a batch
+# lines per write of a listing: few writes, and memory bounded by a chunk
 _LISTING_BATCH = 4096
+# a block formats the lines of its last _WHOLE_TAIL tail ids (at most
+# 2**12 == _LISTING_BATCH of them) as one string, and streams copies of it
+_WHOLE_TAIL = 12
 
 
-def _block_lines(chosen, tail, name, sep) -> Iterator[str]:
-    """Yield the lines of one block of _clique_blocks: for each clique
-    chosen + S, S a subset of tail in lexicographic order, its names in
-    increasing id order joined by sep; name(v) is the decimal string of v.
+def _block_pieces(chosen, tail, name) -> Iterator[tuple[str, int]]:
+    """Yield the lines of one block of _clique_blocks as pieces (text,
+    line count) of at most _LISTING_BATCH lines. A line is "\n" and the
+    names of a clique chosen + S, S a subset of tail in lexicographic
+    order, in increasing id order joined by " "; name(v) is the decimal
+    string of v.
 
-    Tail ids increase along S, so a line extends its parent's prefix by
-    the chosen names between the parent's last tail id and the new one,
-    then the new id's name, and ends with the chosen names above it.
+    Let P_j be the chosen names between tail[j-1] and tail[j], and Q_j
+    the chosen names above tail[j-1]. The lines of the subsets of tail[j:]
+    are Q_j, then rest(j): the line P_j + tail[j] + Q_{j+1}, every line
+    of rest(j+1) prefixed by P_j and tail[j], and every line of rest(j+1)
+    prefixed by P_j. Tail ids increase along S, so these are the subsets
+    in lexicographic order. A prefix is one str.replace of "\n", so a
+    level costs a few string operations however many lines it holds.
+    rest is built from the last tail id up; above the last _WHOLE_TAIL
+    levels the same recurrence streams prefixed copies of that rest.
     """
-    cs = sorted(chosen)
-    if not tail:
-        yield sep.join(map(name, cs))
+    k = len(tail)
+    if not k:
+        yield "\n" + " ".join(map(name, sorted(chosen))), 1
         return
-    items = [name(v) + sep for v in cs]
-    head = "".join(items)  # every chosen name followed by sep
-    yield head[:-len(sep)]
-    # cut[j]: where the chosen names below tail[j] end in head
-    offset = list(accumulate(map(len, items), initial=0))
-    cut = [offset[bisect_left(cs, t)] for t in tail]
-    ends = [name(t) + sep for t in tail]
-    lines = [(end + head[c:])[:-len(sep)] for end, c in zip(ends, cut)]
-    # the current clique ends in tail[j]; prefix holds its names up to
-    # offset low of head, the cut of its previous tail id. The stack holds
-    # (prefix, low, j) of the next sibling of each shorter clique.
-    stack = []
-    prefix, low, j, last = "", 0, 0, len(tail) - 1
-    while True:
-        base = prefix + head[low:cut[j]]
-        yield base + lines[j]
-        if j < last:
-            stack.append((prefix, low, j + 1))
-            prefix, low, j = base + ends[j], cut[j], j + 1
-        elif stack:
-            prefix, low, j = stack.pop()
+    gaps = [""] * (k + 1)  # gaps[j] is P_j, gaps[k] the chosen names above tail
+    for c in sorted(chosen):
+        j = bisect_left(tail, c)
+        gaps[j] = f"{gaps[j]} {name(c)}" if gaps[j] else name(c)
+    top = max(k - _WHOLE_TAIL, 0)
+    q, rest = gaps[k], ""
+    levels = [None] * top  # (P_j, P_j + tail[j], that + Q_{j+1}) above top
+    for j in range(k - 1, -1, -1):
+        p, x = gaps[j], name(tail[j])
+        if p:
+            x = f"{p} {x}"
+        xq = f"{x} {q}" if q else x
+        if j < top:
+            levels[j] = p, x, xq
         else:
-            return
+            with_x = rest.replace("\n", "\n" + x + " ")
+            with_p = rest.replace("\n", "\n" + p + " ") if p else rest
+            rest = f"\n{xq}{with_x}{with_p}"
+        if p:
+            q = f"{p} {q}" if q else p
+    if not top:
+        yield f"\n{q}{rest}", 1 << k
+        return
+    yield "\n" + q, 1
+    # depth first over the levels above top, each entry (level, prefix)
+    stack = [(0, "")]
+    while stack:
+        j, prefix = stack.pop()
+        if j == top:
+            yield (rest.replace("\n", "\n" + prefix) if prefix else rest,
+                   (1 << (k - top)) - 1)
+            continue
+        p, x, xq = levels[j]
+        yield f"\n{prefix}{xq}", 1
+        stack.append((j + 1, f"{prefix}{p} " if p else prefix))
+        stack.append((j + 1, f"{prefix}{x} "))
 
 
-def _listing(g: Graph, sep: str) -> Iterator[str]:
-    """Every clique of g as the line _block_lines makes of it, in the
-    order of enumerate_cliques."""
+def _listing(g: Graph) -> Iterator[str]:
+    """Every clique of g as the line _block_pieces makes of it, in the
+    order of enumerate_cliques, in chunks of _LISTING_BATCH lines (the
+    last may hold fewer). The first line is the empty clique's "\n"."""
     name = [str(v) for v in range(g.n)].__getitem__
-    return chain.from_iterable(_block_lines(chosen, tail, name, sep)
-                               for chosen, tail in _clique_blocks(g))
+    chunk, room = [], _LISTING_BATCH
+    for chosen, tail in _clique_blocks(g):
+        for text, lines in _block_pieces(chosen, tail, name):
+            while lines >= room:
+                # with the first `room` line breaks blanked, the next one
+                # starts line `room`
+                cut = (text.replace("\n", " ", room).find("\n") if lines > room
+                       else len(text))
+                chunk.append(text[:cut])
+                yield "".join(chunk)
+                text, lines, chunk, room = text[cut:], lines - room, [], _LISTING_BATCH
+            chunk.append(text)
+            room -= lines
+    if room < _LISTING_BATCH:
+        yield "".join(chunk)
 
 
-def _write_joined(out: TextIO, items: Iterator[str], sep: str) -> None:
-    """Write the items joined by sep, _LISTING_BATCH items per write."""
-    lead = ""
-    while batch := list(islice(items, _LISTING_BATCH)):
-        out.write(lead + sep.join(batch))
-        lead = sep
+def _json_cliques(text: str) -> str:
+    """The JSON of a chunk of _listing without the empty clique: each "\n"
+    closes the clique before it and opens the next, each " " becomes a
+    comma and the next id's indent. Ids are decimal digits, so "]" can
+    stand for the line breaks in between."""
+    return (text.replace("\n", "]").replace(" ", ",\n      ")
+            .replace("]", "\n    ],\n    [\n      "))
 
 
 def _cmd_enumerate(args) -> int:
-    """Stream the listing in batches instead of building one _Report."""
+    """Stream the listing chunk by chunk instead of building one _Report."""
     g = _resolve_graph(args)
+    chunks = _listing(g)
+    # the empty clique comes first, a bare "\n": text moves that line
+    # break to the end, JSON prints the clique as []
+    first = next(chunks)[1:]
     with _output(args) as out:
         if args.format == "json":
-            # the same bytes as json.dumps of the whole payload, indent=2;
-            # the list is never empty, since the empty clique comes first
+            # the same bytes as json.dumps of the whole payload, indent=2
             head = json.dumps({"config": _config_dict(args), "cliques": None}, indent=2)
             prefix, suffix = head.rsplit("null", 1)
-            out.write(prefix + "[\n    ")
-            cliques = (f"[\n      {line}\n    ]" if line else "[]"
-                       for line in _listing(g, ",\n      "))
-            _write_joined(out, cliques, ",\n    ")
-            out.write("\n  ]" + suffix + "\n")
+            # [] needs no close; every later clique is closed by the next
+            # one's line break, or at the end
+            out.write(prefix + "[\n    []"
+                      + _json_cliques(first).removeprefix("\n    ]"))
+            for chunk in chunks:
+                out.write(_json_cliques(chunk))
+            out.write(("\n    ]" if g.n else "") + "\n  ]" + suffix + "\n")
         else:
-            _write_joined(out, _listing(g, " "), "\n")
+            out.write(first)
+            for chunk in chunks:
+                out.write(chunk)
             out.write("\n")
     return EXIT_OK
 

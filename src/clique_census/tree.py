@@ -29,7 +29,9 @@ clique (possibly empty) and no further: on a clique every degree is
 equal, so the descent picks the smallest id each time, and the subtree's
 preorder is the node's clique plus each subset of the label in
 lexicographic order. Such a node comes out as one block, the enumeration
-twin of the census kernel's clique leaf. build_tree materializes the
+twin of the census kernel's clique leaf; enumerate_cliques expands it
+clique by clique, and the CLI builds its text a label id at a time,
+without visiting its cliques (cli._block_pieces). build_tree materializes the
 node structure for inspection, subject to a node cap, and descends on
 the rows of the whole graph, one node per clique, which makes it an
 independent check of the local descents, the blocks and the pivot

@@ -120,11 +120,31 @@ def _assert_text_listing(g, directory):
     assert stdout.getvalue() == expected
 
 
+def _assert_json_listing(g, directory):
+    """The JSON listing of g equals json.dumps of build_tree's preorder."""
+    graph_path = Path(directory) / "g.txt"
+    graph_path.write_text(serialize(g))
+    listing_path = Path(directory) / "listing.json"
+    assert main(["enumerate", str(graph_path), "--format", "json",
+                 "--output", str(listing_path)]) == 0
+    out = listing_path.read_text()
+    cliques = [sorted(node.clique()) for node in build_tree(g).nodes]
+    payload = {"config": json.loads(out)["config"], "cliques": cliques}
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
 @given(graphs())
 @settings(max_examples=60, deadline=None)
 def test_enumerate_text_matches_tree_preorder(g):
     with tempfile.TemporaryDirectory() as directory:
         _assert_text_listing(g, directory)
+
+
+@given(graphs())
+@settings(max_examples=60, deadline=None)
+def test_enumerate_json_matches_tree_preorder(g):
+    with tempfile.TemporaryDirectory() as directory:
+        _assert_json_listing(g, directory)
 
 
 @pytest.mark.parametrize("n", WORD_EDGE_SIZES)
@@ -140,33 +160,75 @@ def test_enumerate_text_across_write_batches(tmp_path):
     _assert_text_listing(g, tmp_path)
 
 
-def _assert_json_listing(capsys, g, spec):
-    code, out, _ = run(capsys, "enumerate", "--construct", spec, "--format", "json")
-    assert code == 0
-    cliques = [sorted(node.clique()) for node in build_tree(g).nodes]
-    payload = {"config": json.loads(out)["config"], "cliques": cliques}
-    assert out == json.dumps(payload, indent=2) + "\n"
-
-
-def test_enumerate_json_across_write_batches(capsys):
+def test_enumerate_json_across_write_batches(tmp_path):
     g = complete_multipartite_222(8)
     assert 3 ** 8 > cli._LISTING_BATCH
-    _assert_json_listing(capsys, g, "complete_multipartite:k=8")
+    _assert_json_listing(g, tmp_path)
 
 
-def test_enumerate_block_larger_than_a_write_batch(capsys, tmp_path):
+def test_enumerate_block_larger_than_a_write_batch(tmp_path):
     # the first root child of K_14 is one block: 0 plus any subset of 1..13
     g = complete(14)
     assert 2 ** 13 > cli._LISTING_BATCH
     _assert_text_listing(g, tmp_path)
-    _assert_json_listing(capsys, g, "complete:n=14")
+    _assert_json_listing(g, tmp_path)
+
+
+@pytest.mark.parametrize("n", [13, 17])
+def test_enumerate_blocks_around_the_chunk_cap(n, tmp_path):
+    # K_n's first block has n - 1 tail ids: K_13's is formatted whole as
+    # 2^12 lines, K_17's streams four levels above such a text
+    g = complete(n)
+    _assert_text_listing(g, tmp_path)
+    _assert_json_listing(g, tmp_path)
+
+
+def _subsets_in_preorder(ids, prefix=()):
+    yield prefix
+    for i, v in enumerate(ids):
+        yield from _subsets_in_preorder(ids[i + 1:], prefix + (v,))
 
 
 def test_enumerate_streams_a_block():
-    # K_40's first block alone holds 2^39 lines; they come one at a time
-    lines = list(islice(cli._listing(complete(40), " "), 10))
-    assert lines == ["", "0", "0 1", "0 1 2", "0 1 2 3", "0 1 2 3 4", "0 1 2 3 4 5",
-                     "0 1 2 3 4 5 6", "0 1 2 3 4 5 6 7", "0 1 2 3 4 5 6 7 8"]
+    # K_40's first block alone holds 2^39 lines; they come a chunk at a time
+    chunks = cli._listing(complete(40))
+    first = next(chunks)
+    lines = first.split("\n")[1:]  # every line starts with "\n"
+    assert len(lines) == cli._LISTING_BATCH
+    assert lines[:10] == ["", "0", "0 1", "0 1 2", "0 1 2 3", "0 1 2 3 4", "0 1 2 3 4 5",
+                          "0 1 2 3 4 5 6", "0 1 2 3 4 5 6 7", "0 1 2 3 4 5 6 7 8"]
+    # the first chunk ends inside a streamed copy; the next one goes on from there
+    lines += next(chunks).split("\n")[1:]
+    expected = islice(_subsets_in_preorder(tuple(range(40))), 2 * cli._LISTING_BATCH)
+    assert lines == [" ".join(map(str, s)) for s in expected]
+
+
+class _Writes(io.StringIO):
+    """An output stream that keeps every write apart."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+@pytest.mark.parametrize("spec, cliques", [("complete:n=16", 2 ** 16),
+                                           ("complete_multipartite:k=8", 3 ** 8)])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_enumerate_writes_at_most_a_chunk(spec, cliques, fmt):
+    out = _Writes()
+    with redirect_stdout(out):
+        assert main(["enumerate", "--construct", spec, "--format", fmt]) == 0
+    # a text clique is one line; a JSON one opens with "[" at indent 4
+    mark = "\n" if fmt == "text" else "\n    ["
+    counts = [text.count(mark) for text in out.writes]
+    assert max(counts) <= cli._LISTING_BATCH
+    assert sum(counts) == cliques
+    if fmt == "json":
+        assert len(json.loads(out.getvalue())["cliques"]) == cliques
 
 
 def test_generate_then_count_roundtrip(capsys, tmp_path):
