@@ -271,9 +271,10 @@ def _cmd_census(args) -> _Report:
 
 # lines per write of a listing: few writes, and memory bounded by a chunk
 _LISTING_BATCH = 4096
-# a block formats the lines of its last _WHOLE_TAIL tail ids (at most
-# 2**12 == _LISTING_BATCH of them) as one string, and streams copies of it
-_WHOLE_TAIL = 12
+# a block formats the lines of its last _WHOLE_TAIL tail ids, at most
+# 2**_WHOLE_TAIL == _LISTING_BATCH of them, as one string, and streams
+# copies of it
+_WHOLE_TAIL = _LISTING_BATCH.bit_length() - 1
 
 
 def _block_pieces(chosen, tail, name) -> Iterator[tuple[str, int]]:

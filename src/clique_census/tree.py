@@ -31,11 +31,11 @@ preorder is the node's clique plus each subset of the label in
 lexicographic order. Such a node comes out as one block, the enumeration
 twin of the census kernel's clique leaf; enumerate_cliques expands it
 clique by clique, and the CLI builds its text a label id at a time,
-without visiting its cliques (cli._block_pieces). build_tree materializes the
-node structure for inspection, subject to a node cap, and descends on
-the rows of the whole graph, one node per clique, which makes it an
-independent check of the local descents, the blocks and the pivot
-census.
+without visiting its cliques (cli._block_pieces). build_tree
+materializes the node structure for inspection, subject to a node cap,
+and descends on the rows of the whole graph, one node per clique, which
+makes it an independent check of the local descents, the blocks and the
+pivot census.
 """
 
 from __future__ import annotations
