@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, e, log, log2, sqrt
 
-from mpmath import mp
-
 from .errors import ExtractionError
 from . import backend as _backend
 from .graph import DegeneracyResult, Graph, degeneracy, induced_subgraph, rows
@@ -43,6 +41,20 @@ from .tree import build_tree  # noqa: F401  unused here; traced by this name
 # which the audit never calls; the import above only keeps that name.
 
 AUDIT_DPS = 50
+
+
+class _LazyMp:
+    """Stands for mpmath's `mp` context until its first use, which imports
+    mpmath and puts the context in its place: only the checks use it, and
+    importing it is most of the package's import time."""
+
+    def __getattr__(self, name):
+        global mp
+        from mpmath import mp
+        return getattr(mp, name)
+
+
+mp = _LazyMp()
 
 
 @dataclass(frozen=True)

@@ -277,12 +277,13 @@ _LISTING_BATCH = 4096
 _WHOLE_TAIL = _LISTING_BATCH.bit_length() - 1
 
 
-def _block_pieces(chosen, tail, name) -> Iterator[tuple[str, int]]:
+def _block_pieces(chosen, tail, first, name) -> Iterator[tuple[str, int]]:
     """Yield the lines of one block of _clique_blocks as pieces (text,
     line count) of at most _LISTING_BATCH lines. A line is "\n" and the
     names of a clique chosen + S, S a subset of tail in lexicographic
     order, in increasing id order joined by " "; name(v) is the decimal
-    string of v.
+    string of v. When `first` is false the block's first line, S = (),
+    is left out: rest alone, or the streamed levels without Q_0.
 
     Let P_j be the chosen names between tail[j-1] and tail[j], and Q_j
     the chosen names above tail[j-1]. The lines of the subsets of tail[j:]
@@ -319,9 +320,10 @@ def _block_pieces(chosen, tail, name) -> Iterator[tuple[str, int]]:
         if p:
             q = f"{p} {q}" if q else p
     if not top:
-        yield f"\n{q}{rest}", 1 << k
+        yield (f"\n{q}{rest}", 1 << k) if first else (rest, (1 << k) - 1)
         return
-    yield "\n" + q, 1
+    if first:
+        yield "\n" + q, 1
     # depth first over the levels above top, each entry (level, prefix)
     stack = [(0, "")]
     while stack:
@@ -342,8 +344,8 @@ def _listing(g: Graph) -> Iterator[str]:
     last may hold fewer). The first line is the empty clique's "\n"."""
     name = [str(v) for v in range(g.n)].__getitem__
     chunk, room = [], _LISTING_BATCH
-    for chosen, tail in _clique_blocks(g):
-        for text, lines in _block_pieces(chosen, tail, name):
+    for chosen, tail, first in _clique_blocks(g):
+        for text, lines in _block_pieces(chosen, tail, first, name):
             while lines >= room:
                 # with the first `room` line breaks blanked, the next one
                 # starts line `room`

@@ -29,13 +29,16 @@ clique (possibly empty) and no further: on a clique every degree is
 equal, so the descent picks the smallest id each time, and the subtree's
 preorder is the node's clique plus each subset of the label in
 lexicographic order. Such a node comes out as one block, the enumeration
-twin of the census kernel's clique leaf; enumerate_cliques expands it
-clique by clique, and the CLI builds its text a label id at a time,
-without visiting its cliques (cli._block_pieces). build_tree
-materializes the node structure for inspection, subject to a node cap,
-and descends on the rows of the whole graph, one node per clique, which
-makes it an independent check of the local descents, the blocks and the
-pivot census.
+twin of the census kernel's clique leaf. A node's child loop stops the
+same way once the candidates it has left form a clique: its remaining
+subtrees are its clique plus each nonempty subset of them, one block
+without its first line. enumerate_cliques expands a block clique by
+clique, and the CLI builds its text a label id at a time, without
+visiting its cliques (cli._block_pieces). build_tree materializes the
+node structure for inspection, subject to a node cap, and descends on
+the rows of the whole graph, one node per clique, which makes it an
+independent check of the local descents, the blocks and the pivot
+census.
 """
 
 from __future__ import annotations
@@ -270,32 +273,41 @@ def _is_clique(bits, label: int) -> bool:
     return True
 
 
-def _clique_blocks(g: Graph) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Yield every clique of g in blocks (chosen, tail), in depth-first
-    child-creation order, the empty clique first.
+def _clique_blocks(g: Graph) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], bool]]:
+    """Yield every clique of g in blocks (chosen, tail, first), in
+    depth-first child-creation order, the empty clique first.
 
-    `chosen` holds a node's clique as ids in the order they were chosen;
-    `tail` is the node's label as sorted ids when that label is a clique
-    (possibly empty), and () otherwise. A block stands for the cliques
-    chosen + S, for every S contained in tail, in lexicographic order with
-    S = () first: on a clique every degree is equal, so the min-degree
-    descent picks the smallest id each time, and this is the preorder of
-    the node's subtree. A node with a clique label is therefore never
-    descended into, as the census kernel stops at a clique leaf.
+    A block stands for the cliques chosen + S, for every S contained in
+    tail, in lexicographic order with S = () first; when `first` is false
+    the block leaves out that first clique, chosen itself. `chosen` holds
+    a node's clique as ids in the order they were chosen, and `tail` is a
+    clique of sorted ids joined to all of chosen. Blocks come from two
+    kinds of stop, both because on a clique every degree is equal, so the
+    min-degree descent picks the smallest id each time:
+
+    - a node whose label is a clique (possibly empty) is the block
+      (clique, sorted label, True): the preorder of its subtree. It is
+      never descended into, as the census kernel stops at a clique leaf.
+    - once the candidates R a node has left to branch on form a clique,
+      its remaining children and their subtrees are the cliques C + S for
+      every nonempty S contained in R, C the node's clique: the block
+      (C, sorted R, False), yielded in place of |R| child blocks. R is a
+      clique iff the vertex the descent picks next is joined to all the
+      rest of R, one popcount beside the min-degree scan.
 
     Below each root child the descent runs on the rows of the child's
     local graph, which has at most d vertices, and maps ids back through
     the label, so no step scans n-bit masks.
     """
-    yield (), ()
+    yield (), (), True
     for v, ids in _later_neighbours(g, degeneracy(g).ordering):
         top = (v,)
         bits = rows(g, ids)
         full = (1 << len(ids)) - 1
         if _is_clique(bits, full):
-            yield top, tuple(ids)
+            yield top, tuple(ids), True
             continue
-        yield top, ()
+        yield top, (), True
         # entries are (nonempty label left, clique of the node whose
         # children it yields); the new child's entry goes on top, so its
         # subtree comes before its later siblings
@@ -303,22 +315,25 @@ def _clique_blocks(g: Graph) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]
         while stack:
             remaining, chosen = stack.pop()
             u = min_degree_in(bits, remaining)
-            rest = remaining ^ (1 << u)
-            if rest:
-                stack.append((rest, chosen))
-            clique = chosen + (ids[u],)
             child = remaining & bits[u]
+            if child.bit_count() == remaining.bit_count() - 1:
+                yield chosen, tuple(ids[w] for w in mask_vertices(remaining)), False
+                continue
+            stack.append((remaining ^ (1 << u), chosen))
+            clique = chosen + (ids[u],)
             if _is_clique(bits, child):
-                yield clique, tuple(ids[w] for w in mask_vertices(child))
+                yield clique, tuple(ids[w] for w in mask_vertices(child)), True
             else:
-                yield clique, ()
+                yield clique, (), True
                 stack.append((child, clique))
 
 
-def _block_cliques(chosen: tuple[int, ...], tail: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+def _block_cliques(chosen: tuple[int, ...], tail: tuple[int, ...],
+                   first: bool) -> Iterator[tuple[int, ...]]:
     """Yield chosen + S for every S contained in tail, in lexicographic
-    order, S = () first."""
-    yield chosen
+    order, S = () first unless `first` is false."""
+    if first:
+        yield chosen
     if not tail:
         return
     # the current clique is pre + (tail[j],); the stack holds (pre, j) of
@@ -345,8 +360,10 @@ def enumerate_cliques(g: Graph) -> Iterator[frozenset[int]]:
     search tree of the child's label, relabelled in order, so a step
     costs time in the local graph's size, not in n. A node whose label is
     a clique comes as one block, its subtree's cliques in lexicographic
-    order (_clique_blocks), without descending into it. Memory stays
+    order, without descending into it; so do a node's remaining children
+    once the candidates left form a clique, the block then skipping its
+    first clique, the node's own (_clique_blocks). Memory stays
     proportional to the depth of the tree, not to the clique count.
     """
-    for chosen, tail in _clique_blocks(g):
-        yield from map(frozenset, _block_cliques(chosen, tail))
+    for chosen, tail, first in _clique_blocks(g):
+        yield from map(frozenset, _block_cliques(chosen, tail, first))

@@ -1,6 +1,10 @@
 """Audit pipeline: skeleton rule, boundary cases, window conditions, bounds."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 from contextlib import nullcontext
 from fractions import Fraction
 from math import comb, isclose
@@ -8,6 +12,7 @@ from math import comb, isclose
 import pytest
 from hypothesis import given, settings
 
+import clique_census
 import clique_census.audit as audit_module
 import clique_census.tree as tree_module
 from clique_census import (
@@ -603,3 +608,31 @@ def test_refined_exponents_json():
     assert data["alpha"] == "1/10"
     assert data["window_size_bound"] == "80/11"
     assert isclose(data["total_exponent"], r.total_exponent)
+
+
+# In a fresh interpreter: imports the package and runs CLI count, then
+# prints whether mpmath is loaded, then audits complete(13) and prints
+# whether it is loaded and the report's JSON.
+_MPMATH_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import clique_census
+from clique_census.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["count", "--construct", "complete:n=13"]) == 0
+print("mpmath" in sys.modules)
+report = clique_census.audit_graph(clique_census.complete(13), clique_census.AuditConfig(t=4))
+print("mpmath" in sys.modules)
+print(json.dumps(report.to_json(), sort_keys=True))
+"""
+
+
+def test_mpmath_loads_only_for_the_audit_checks():
+    package_root = os.path.dirname(os.path.dirname(clique_census.__file__))
+    proc = subprocess.run([sys.executable, "-c", _MPMATH_PROBE, package_root],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    before, after, report = proc.stdout.splitlines()
+    assert (before, after) == ("False", "True")
+    want = audit_graph(complete(13), AuditConfig(t=4)).to_json()
+    assert json.loads(report) == json.loads(json.dumps(want, sort_keys=True))

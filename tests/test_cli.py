@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stdout
+from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 
@@ -20,10 +21,12 @@ from clique_census import (
     complete_multipartite_222,
     enumerate_cliques,
     path_power,
+    random_gnp,
     serialize,
 )
 from clique_census import cli
 from clique_census.cli import main
+from clique_census.tree import _clique_blocks
 
 from strategies import WORD_EDGE_SIZES, graphs, word_edge_graphs
 
@@ -181,6 +184,33 @@ def test_enumerate_blocks_around_the_chunk_cap(n, tmp_path):
     g = complete(n)
     _assert_text_listing(g, tmp_path)
     _assert_json_listing(g, tmp_path)
+
+
+def _assert_listings_match_tree_preorder(g, directory):
+    _assert_text_listing(g, directory)
+    _assert_json_listing(g, directory)
+    assert list(enumerate_cliques(g)) == [node.clique() for node in build_tree(g).nodes]
+
+
+def test_enumerate_run_longer_than_a_formatted_text(tmp_path):
+    # vertex 0 is joined to K_14 minus the edge 1-2 on 1..14, whose ids
+    # are also joined to 15 and 16, so 0 peels first; its child loop
+    # branches on 1, then 2..14 is a clique: a run of 13 > _WHOLE_TAIL
+    # ids, streamed without its first line
+    core = range(1, 15)
+    edges = [(u, v) for u in core for v in core if u < v and (u, v) != (1, 2)]
+    edges += [(a, u) for a in (0, 15, 16) for u in core] + [(15, 16)]
+    g = Graph(17, edges)
+    runs = [(chosen, tail) for chosen, tail, first in _clique_blocks(g) if not first]
+    assert ((0,), tuple(range(2, 15))) in runs
+    assert 13 > cli._WHOLE_TAIL
+    _assert_listings_match_tree_preorder(g, tmp_path)
+
+
+def test_enumerate_random_graphs_match_tree_preorder(tmp_path):
+    for n in range(1, 41):
+        g = random_gnp(n, Fraction(1 + n % 3, 5), seed=n)
+        _assert_listings_match_tree_preorder(g, tmp_path)
 
 
 def _subsets_in_preorder(ids, prefix=()):

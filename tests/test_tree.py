@@ -16,6 +16,7 @@ from clique_census import (
     build_tree,
     census,
     census_of_subset,
+    complete_multipartite_222,
     count_cliques,
     enumerate_cliques,
     induced_subgraph,
@@ -87,7 +88,7 @@ def test_enumerate_exactly_once(g):
     assert seen[0] == frozenset()
 
 
-@given(graphs(max_n=8))
+@given(graphs())
 def test_enumeration_order_matches_tree(g):
     tree = build_tree(g)
     assert [node.clique() for node in tree.nodes] == list(enumerate_cliques(g))
@@ -95,12 +96,22 @@ def test_enumeration_order_matches_tree(g):
 
 @given(graphs())
 def test_block_tails_are_cliques_joined_to_chosen(g):
-    for chosen, tail in _clique_blocks(g):
+    for chosen, tail, first in _clique_blocks(g):
         assert list(tail) == sorted(set(tail))
         assert not set(tail) & set(chosen)
         for i, u in enumerate(tail):
             assert all(g.has_edge(u, v) for v in tail[i + 1:]), (chosen, tail)
             assert all(g.has_edge(u, v) for v in chosen), (chosen, tail)
+        # a block without its first clique is a run of at least one id
+        assert first or tail, (chosen, tail)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_multipartite_block_count(k):
+    # one block per clique label and one per run; with a child block per
+    # run id instead there would be (k + 5) * 2^(k - 2), 17,408 at k = 12
+    blocks = list(_clique_blocks(complete_multipartite_222(k)))
+    assert len(blocks) == 3 * 2 ** (k - 1) + k - 1
 
 
 @given(graphs())
