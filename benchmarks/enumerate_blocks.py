@@ -99,8 +99,8 @@ GRAPHS = (
     ("path_power", 100_000, "path_power(100000,6)", 2**6 * (100_000 - 5)),
     ("gnp", 60, "random_gnp(60,3/5,seed=1)", None),
 )
-# runs per side and format: the 2-vCPU machine this was written on drifts
-# by tens of percent from run to run, which 3 runs could not resolve
+# runs per side and format: on a shared 2-vCPU machine single runs drift
+# by tens of percent, which 3 runs per side could not resolve
 REPEATS = 7
 
 
