@@ -13,7 +13,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import log2
+from math import ceil, log2
 
 from .graph import Graph
 
@@ -73,11 +73,15 @@ def random_gnp(n: int, p, seed: int = 0) -> Graph:
     if not 0 <= p <= 1:
         raise ValueError("random_gnp needs 0 <= p <= 1")
     rng = random.Random(seed)
+    # random() returns k/2**53 with k an integer, so a draw is below p
+    # exactly when it is below ceil(p * 2**53)/2**53, and that threshold is
+    # a float: each draw is one float comparison, even for a Fraction p
+    limit = ceil(Fraction(p) * 2**53) / 2**53
     edges = [
         (u, v)
         for u in range(n)
         for v in range(u + 1, n)
-        if rng.random() < p
+        if rng.random() < limit
     ]
     return Graph(n, edges)
 

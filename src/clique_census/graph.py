@@ -1,13 +1,15 @@
 """Immutable undirected simple graphs over vertex ids 0..n-1.
 
 A graph stores its adjacency once, as one frozenset of neighbours per
-vertex, so it takes O(n + m) memory. The census kernel and the min-degree
-descents read bit rows instead (Python ints, so there is no width cap);
-rows(g, vertices) builds them for one induced subgraph at a time.
-Vertices are always addressed by id; induced subgraphs and their rows
-relabel to 0..k-1 preserving the relative order of the surviving ids,
-which keeps min-degree tie-breaking consistent between a graph and its
-subgraphs.
+vertex, so it takes O(n + m) memory. Graph(n, pairs) is the one place that
+drops duplicate edges and counts them: the readers hand it the pairs as
+read. The census kernel and the min-degree descents read bit rows instead
+(Python ints, so there is no width cap); rows(g, vertices) builds them for
+one induced subgraph at a time, and is the one relabeller: induced
+subgraphs are built from its rows. Vertices are always addressed by id;
+induced subgraphs and their rows relabel to 0..k-1 preserving the
+relative order of the surviving ids, which keeps min-degree tie-breaking
+consistent between a graph and its subgraphs.
 """
 
 from __future__ import annotations
@@ -50,14 +52,8 @@ class Graph:
     def edge_count(self) -> int:
         return self._edge_count
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adj[v]
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (u, v) with u < v, sorted."""
@@ -91,7 +87,7 @@ def parse_graph(text: str) -> Graph:
     after deduplication.
     """
     header: tuple[int, int] | None = None
-    edges: set[tuple[int, int]] = set()
+    edges: list[tuple[int, int]] = []
     n = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -114,21 +110,22 @@ def parse_graph(text: str) -> Graph:
             raise GraphParseError(f"self-loop at vertex {a}", line_no)
         if not (0 <= a < n and 0 <= b < n):
             raise GraphParseError(f"vertex id out of range in {line!r}", line_no)
-        edges.add((min(a, b), max(a, b)))
+        edges.append((a, b))
     if header is None:
         raise GraphParseError("missing header line \"n m\"", None)
-    if len(edges) != header[1]:
+    g = Graph(n, edges)
+    if g.edge_count != header[1]:
         raise GraphParseError(
-            f"declared {header[1]} edges but found {len(edges)} after deduplication",
+            f"declared {header[1]} edges but found {g.edge_count} after deduplication",
             None,
         )
-    return Graph(n, edges)
+    return g
 
 
 def parse_dimacs(text: str) -> Graph:
     """Parse a DIMACS .col file: "p edge n m" header, 1-indexed "e u v" lines."""
     n = None
-    edges: set[tuple[int, int]] = set()
+    edges: list[tuple[int, int]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -162,7 +159,7 @@ def parse_dimacs(text: str) -> Graph:
                 raise GraphParseError(f"self-loop at vertex {u + 1}", line_no)
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphParseError(f"vertex id out of range in {line!r}", line_no)
-            edges.add((min(u, v), max(u, v)))
+            edges.append((u, v))
             continue
         raise GraphParseError(f"unrecognized line {line!r}", line_no)
     if n is None:
@@ -211,19 +208,12 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     with it min-degree tie-breaking) is preserved.
     """
     new_to_old = tuple(sorted(set(vertices)))
-    for v in new_to_old:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} out of range")
-    old_to_new = {old: new for new, old in enumerate(new_to_old)}
-    keep = frozenset(new_to_old)
-    edges = []
-    for new_u, old_u in enumerate(new_to_old):
-        # the intersection walks the smaller side, so a high-degree vertex
-        # costs only the size of the kept set
-        for old_v in g.adj[old_u] & keep:
-            new_v = old_to_new[old_v]
-            if new_u < new_v:
-                edges.append((new_u, new_v))
+    # row i shifted right by i + 1 keeps the neighbours above i: bit j is i + 1 + j
+    edges = [
+        (i, i + 1 + j)
+        for i, row in enumerate(rows(g, new_to_old))
+        for j in mask_vertices(row >> i + 1)
+    ]
     return Graph(len(new_to_old), edges), new_to_old
 
 

@@ -1,12 +1,15 @@
 """Construction families: closed-form counts, spec parsing, lower bounds."""
 
 import math
+import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from clique_census import (
     ConstructionSpec,
+    Graph,
     census,
     count_cliques,
     cycle,
@@ -21,6 +24,8 @@ from clique_census import (
     random_gnp,
     spec_from_json,
 )
+
+from clique_census import constructions
 
 from brute import brute_count
 
@@ -107,6 +112,45 @@ def test_gnp_seeded_determinism():
 def test_gnp_edge_probabilities():
     assert random_gnp(6, 0).edges() == []
     assert random_gnp(6, 1).edge_count == 15
+
+
+def gnp_by_direct_draws(n, p, seed):
+    """G(n, p) by its definition: each pair's random() draw compared with p."""
+    rng = random.Random(seed)
+    return Graph(n, [
+        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
+    ])
+
+
+@pytest.mark.parametrize("p", [
+    0, 1, Fraction(1, 3), Fraction(3, 5), Fraction(1, 2**60),
+    1 - Fraction(1, 2**53), 1e-20, 0.1, 0.5, Fraction(1, 200),
+])
+def test_gnp_threshold_matches_direct_draws(p):
+    for i in range(15):
+        n, seed = 5 + 4 * i, 31 * i + 1
+        assert random_gnp(n, p, seed=seed) == gnp_by_direct_draws(n, p, seed)
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 3), Fraction(3, 5), 0.1, Fraction(1, 2**60)])
+def test_gnp_threshold_is_exact_at_the_boundary(monkeypatch, p):
+    # feed the draws k/2**53 on either side of p, the only values random()
+    # returns, and check each pair against the exact comparison with p
+    k = math.ceil(Fraction(p) * 2**53)
+    draws = [(k + d) / 2**53 for d in (-2, -1, 0, 1) if k + d >= 0]
+
+    class Scripted:
+        def __init__(self, seed):
+            self.draws = iter(draws)
+
+        def random(self):
+            return next(self.draws, 1.0)
+
+    monkeypatch.setattr(constructions, "random", SimpleNamespace(Random=Scripted))
+    n = 4  # six pairs, drawn in lexicographic order
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    expected = [e for e, r in zip(pairs, draws) if r < p]
+    assert random_gnp(n, p).edges() == expected
 
 
 def test_parse_inline_spec():

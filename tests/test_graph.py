@@ -37,6 +37,9 @@ def test_parse_duplicate_mismatch():
 def test_parse_duplicate_collapses():
     g = parse_graph("3 2\n0 1\n0 1\n1 2")
     assert g.edges() == [(0, 1), (1, 2)]
+    # in either orientation
+    assert parse_graph("2 1\n0 1\n1 0").edges() == [(0, 1)]
+    assert parse_dimacs("p edge 2 2\ne 1 2\ne 2 1").edges() == [(0, 1)]
 
 
 def test_parse_comments_and_blank_lines():
@@ -59,6 +62,34 @@ def test_parse_comments_and_blank_lines():
 def test_parse_rejects(text):
     with pytest.raises(GraphParseError):
         parse_graph(text)
+
+
+@pytest.mark.parametrize(
+    "reader, text, message, line_no",
+    [
+        (parse_graph, "", 'missing header line "n m"', None),
+        (parse_graph, "3 1\n1 1", "line 2: self-loop at vertex 1", 2),
+        (parse_graph, "3 1\n0 5", "line 2: vertex id out of range in '0 5'", 2),
+        (parse_graph, "3 1\n0 1 2", "line 2: expected two integers, got '0 1 2'", 2),
+        (parse_graph, "3 1\nx y", "line 2: expected two integers, got 'x y'", 2),
+        (parse_graph, "3 2\n0 1", "declared 2 edges but found 1 after deduplication", None),
+        (parse_graph, "-1 0", "line 1: header counts must be nonnegative", 1),
+        (parse_graph, "3 3\n0 1\n1 0\n1 2",
+         "declared 3 edges but found 2 after deduplication", None),
+        (parse_dimacs, "p edge 3\ne 1 2", "line 1: bad problem line 'p edge 3'", 1),
+        (parse_dimacs, "e 1 2", "line 1: edge line before problem line", 1),
+        (parse_dimacs, "p edge 3 1\ne 1 1", "line 2: self-loop at vertex 1", 2),
+        (parse_dimacs, "p edge 3 1\ne 1 9", "line 2: vertex id out of range in 'e 1 9'", 2),
+        (parse_dimacs, "z 1 2", "line 1: unrecognized line 'z 1 2'", 1),
+        (parse_dimacs, "p edge -2 0", "line 1: vertex count must be nonnegative", 1),
+        (parse_dimacs, "p edge 3 1\ne 1 2\np edge 2 0", "line 3: second problem line", 3),
+    ],
+)
+def test_reader_errors_are_pinned(reader, text, message, line_no):
+    with pytest.raises(GraphParseError) as info:
+        reader(text)
+    assert str(info.value) == message
+    assert info.value.line_no == line_no
 
 
 def test_parse_dimacs():
@@ -177,6 +208,10 @@ def test_rows_of_induced_subgraphs_at_word_edges(n):
             assert local == rows(sub)
             assert local == [sum(1 << u for u in sub.adj[v]) for v in range(sub.n)]
             assert list(new_to_old) == sorted(set(vertices))
+            # independent of rows: the subgraph's edges against g's own
+            for i in range(sub.n):
+                for j in range(i + 1, sub.n):
+                    assert sub.has_edge(i, j) == g.has_edge(new_to_old[i], new_to_old[j])
     with pytest.raises(ValueError):
         rows(Graph(3, []), [1, 3])
     with pytest.raises(ValueError):
