@@ -8,9 +8,10 @@ REV ("parent" rows) and with the sources of this checkout ("change"
 rows). Each row runs in a fresh interpreter that imports only that side's
 `src/`, builds the graph, runs the census REPEATS times and reports
 every time, the median, the counts and its peak resident size (VmHWM,
-which includes building the graph). Parent and change alternate which
-runs first from one row to the next, so drift of the machine's speed
-falls on both sides.
+which includes building the graph). Each time is recorded in wall seconds
+and in steady seconds, scaled to a fixed host speed (benchmarks/common.py).
+Parent and change alternate which runs first from one row to the next, so
+drift of the machine's speed falls on both sides.
 
 Families:
 - `path_power(n, 6)`: its total must equal the closed form 2^6 (n - 5).
@@ -26,24 +27,18 @@ The script exits 1, after writing the file, if any check fails.
 from __future__ import annotations
 
 import argparse
-import io
-import json
-import os
-import platform
-import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from common import ROOT, export_src, run_child, write_report
 
-# Runs in a fresh interpreter: argv is src, family, n, repeats.
+# Runs in a fresh interpreter after common's preamble: the arguments are
+# family, n, repeats.
 _CHILD = r"""
-import json, math, random, statistics, sys, time
-sys.path.insert(0, sys.argv[1])
+import json, math, random, statistics
 import clique_census as cc
-family, n, repeats = sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+family, n, repeats = sys.argv[3], int(sys.argv[4]), int(sys.argv[5])
 
 def gnp(n, p, seed):
     rng = random.Random(seed)
@@ -59,15 +54,16 @@ def gnp(n, p, seed):
     return cc.Graph(n, edges)
 
 g = cc.path_power(n, 6) if family == "path_power" else gnp(n, 10 / n, seed=1)
-seconds = []
+seconds, steady = [], []
 for _ in range(repeats):
-    t0 = time.perf_counter()
-    res = cc.census(g)
-    seconds.append(time.perf_counter() - t0)
+    raw, scaled, res = timed(lambda: cc.census(g))
+    seconds.append(raw)
+    steady.append(scaled)
 with open("/proc/self/status") as fh:
     peak = next(int(l.split()[1]) for l in fh if l.startswith("VmHWM:")) / 1024
 print(json.dumps({"m": g.edge_count, "seconds": seconds,
-                  "median_s": statistics.median(seconds),
+                  "median_s": statistics.median(seconds), "steady_s": steady,
+                  "steady_median_s": statistics.median(steady),
                   "counts": [str(c) for c in res.counts], "peak_rss_mb": peak}))
 """
 
@@ -76,34 +72,12 @@ SIZES = (10_000, 100_000)
 REPEATS = 3
 
 
-def export_src(rev: str, dest: Path) -> str:
-    """Unpack `src/` of git revision rev under dest; return its full hash."""
-    sha = subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"], cwd=ROOT,
-                         check=True, capture_output=True, text=True).stdout.strip()
-    archive = subprocess.run(["git", "archive", sha, "src"], cwd=ROOT,
-                             check=True, capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(dest, filter="data")
-    return sha
-
-
-def measure(src: Path, family: str, n: int) -> dict:
-    out = subprocess.run([sys.executable, "-c", _CHILD, str(src), family, str(n),
-                          str(REPEATS)], check=True, capture_output=True, text=True,
-                         timeout=3600)
-    return json.loads(out.stdout.strip().splitlines()[-1])
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent rows")
     parser.add_argument("--out", default=str(ROOT / "BENCH_census_orientation.json"))
     args = parser.parse_args(argv)
 
-    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True,
-                          capture_output=True, text=True).stdout.strip()
-    modified = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=ROOT,
-                              check=True, capture_output=True, text=True).stdout.strip()
     rows, problems = [], []
     with tempfile.TemporaryDirectory() as tmp:
         parent_sha = export_src(args.parent, Path(tmp))
@@ -113,7 +87,7 @@ def main(argv=None) -> int:
             for n in SIZES:
                 sides = ("parent", "change") if turn % 2 == 0 else ("change", "parent")
                 turn += 1
-                got = {side: measure(sources[side], family, n)
+                got = {side: run_child(_CHILD, sources[side], family, n, REPEATS)
                        for side in sides}
                 name = NAMES[family].format(n=n)
                 for side in ("parent", "change"):
@@ -129,27 +103,15 @@ def main(argv=None) -> int:
                         problems.append(f"{side} {name}: check failed ({row['check']})")
                     rows.append(row)
                     print(f"{side:6s} {name:20s} m={row['m']} "
-                          f"census {row['median_s']:.3f} s (median of {REPEATS}) "
+                          f"census {row['median_s']:.3f} s, steady "
+                          f"{row['steady_median_s']:.3f} s (medians of {REPEATS}) "
                           f"peak {row['peak_rss_mb']:.0f} MB total={total}"
                           + ("" if ok else "  CHECK FAILED"))
 
-    report = {
-        "what": "census(g) seconds per graph, parent sources against this checkout's",
-        "command": "python3 benchmarks/census_orientation.py --parent " + args.parent,
-        "parent": parent_sha,
-        "change": f"src/ of the checkout at {head}" + (", with uncommitted edits"
-                                                          if modified else ""),
-        "machine": {"python": platform.python_version(), "cpus": os.cpu_count(),
-                    "processor": platform.machine()},
-        "checks_passed": not problems,
-        "rows": rows,
-    }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    for line in problems:
-        print("error: " + line, file=sys.stderr)
-    return 1 if problems else 0
+    return write_report(
+        args.out, "census(g) seconds per graph, parent sources against this checkout's",
+        "python3 benchmarks/census_orientation.py --parent " + args.parent,
+        parent_sha, rows, problems)
 
 
 if __name__ == "__main__":

@@ -9,9 +9,10 @@ with the sources of this checkout ("change" rows). Each row runs in a
 fresh interpreter that imports only that side's `src/`, writes the graph
 as an edge-list file, then runs the CLI's `main` REPEATS times per format
 and reports every time (graph load, listing and writes), the median and
-the minimum, each listing's clique count, size and SHA-256 digest, the
-graph's clique count from the census, and the peak resident size (VmHWM)
-over both formats. Parent and change alternate
+the minimum, the same times in steady seconds, scaled to a fixed host
+speed (benchmarks/common.py), each listing's clique count, size and
+SHA-256 digest, the graph's clique count from the census, and the peak
+resident size (VmHWM) over both formats. Parent and change alternate
 which runs first from one row to the next, so drift of the machine's
 speed falls on both sides.
 
@@ -29,25 +30,19 @@ The script exits 1, after writing the file, if any check fails.
 from __future__ import annotations
 
 import argparse
-import io
-import json
-import os
-import platform
-import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from common import ROOT, export_src, run_child, write_report
 
-# Runs in a fresh interpreter: argv is src, family, n, repeats, work dir.
+# Runs in a fresh interpreter after common's preamble: the arguments are
+# family, n, repeats, work dir.
 _CHILD = r"""
-import hashlib, json, os, statistics, sys, time
-sys.path.insert(0, sys.argv[1])
+import hashlib, json, os, statistics
 import clique_census as cc
 import clique_census.cli
-family, n, repeats, work = sys.argv[2], int(sys.argv[3]), int(sys.argv[4]), sys.argv[5]
+family, n, repeats, work = sys.argv[3], int(sys.argv[4]), int(sys.argv[5]), sys.argv[6]
 if family == "multipartite":
     g = cc.complete_multipartite_222(n)
 elif family == "gnp":
@@ -60,15 +55,15 @@ os.chdir(work)
 graph, listing = "graph.txt", "listing.txt"
 with open(graph, "w") as fh:
     fh.write(cc.serialize(g))
-# time `repeats` runs; return the seconds, the number of `mark` bytes in
-# the listing, its size and its digest
+# time `repeats` runs; return the seconds, the steady seconds, the number
+# of `mark` bytes in the listing, its size and its digest
 def run(fmt, mark):
-    seconds = []
+    seconds, steady = [], []
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        code = clique_census.cli.main(["enumerate", graph, "--format", fmt,
-                                       "--output", listing])
-        seconds.append(time.perf_counter() - t0)
+        raw, scaled, code = timed(lambda: clique_census.cli.main(
+            ["enumerate", graph, "--format", fmt, "--output", listing]))
+        seconds.append(raw)
+        steady.append(scaled)
         assert code == 0, code
     digest, marks, size = hashlib.sha256(), 0, 0
     with open(listing, "rb") as fh:
@@ -76,18 +71,20 @@ def run(fmt, mark):
             digest.update(chunk)
             marks += chunk.count(mark)
             size += len(chunk)
-    return seconds, marks, size, digest.hexdigest()
-seconds, lines, size, sha = run("text", b"\n")
+    return seconds, steady, marks, size, digest.hexdigest()
+seconds, steady, lines, size, sha = run("text", b"\n")
 # one "]" closes each clique and one the list; the config holds none
-json_seconds, json_marks, json_size, json_sha = run("json", b"]")
+json_seconds, json_steady, json_marks, json_size, json_sha = run("json", b"]")
 with open("/proc/self/status") as fh:
     peak = next(int(l.split()[1]) for l in fh if l.startswith("VmHWM:")) / 1024
 print(json.dumps({"m": g.edge_count, "census_cliques": cc.count_cliques(g),
                   "seconds": seconds, "median_s": statistics.median(seconds),
-                  "min_s": min(seconds), "lines": lines,
+                  "min_s": min(seconds), "steady_s": steady,
+                  "steady_median_s": statistics.median(steady), "lines": lines,
                   "bytes": size, "sha256": sha, "json_seconds": json_seconds,
                   "json_median_s": statistics.median(json_seconds),
-                  "json_min_s": min(json_seconds),
+                  "json_min_s": min(json_seconds), "json_steady_s": json_steady,
+                  "json_steady_median_s": statistics.median(json_steady),
                   "json_cliques": json_marks - 1, "json_bytes": json_size,
                   "json_sha256": json_sha, "peak_rss_mb": peak}))
 """
@@ -104,23 +101,9 @@ GRAPHS = (
 REPEATS = 7
 
 
-def export_src(rev: str, dest: Path) -> str:
-    """Unpack `src/` of git revision rev under dest; return its full hash."""
-    sha = subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"], cwd=ROOT,
-                         check=True, capture_output=True, text=True).stdout.strip()
-    archive = subprocess.run(["git", "archive", sha, "src"], cwd=ROOT,
-                             check=True, capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(dest, filter="data")
-    return sha
-
-
 def measure(src: Path, family: str, n: int) -> dict:
     with tempfile.TemporaryDirectory() as work:
-        out = subprocess.run([sys.executable, "-c", _CHILD, str(src), family, str(n),
-                              str(REPEATS), work], check=True, capture_output=True,
-                             text=True, timeout=3600)
-    return json.loads(out.stdout.strip().splitlines()[-1])
+        return run_child(_CHILD, src, family, n, REPEATS, work)
 
 
 def main(argv=None) -> int:
@@ -129,10 +112,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=str(ROOT / "BENCH_enumerate_blocks.json"))
     args = parser.parse_args(argv)
 
-    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True,
-                          capture_output=True, text=True).stdout.strip()
-    modified = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=ROOT,
-                              check=True, capture_output=True, text=True).stdout.strip()
     rows, problems = [], []
     with tempfile.TemporaryDirectory() as tmp:
         parent_sha = export_src(args.parent, Path(tmp))
@@ -152,30 +131,18 @@ def main(argv=None) -> int:
                     problems.append(f"{side} {name}: check failed ({row['check']})")
                 rows.append(row)
                 print(f"{side:6s} {name:30s} enumerate {row['median_s']:.3f} s "
-                      f"(min {row['min_s']:.3f}), json {row['json_median_s']:.3f} s "
-                      f"(min {row['json_min_s']:.3f}), of {REPEATS} runs "
+                      f"(min {row['min_s']:.3f}, steady {row['steady_median_s']:.3f}), "
+                      f"json {row['json_median_s']:.3f} s (min {row['json_min_s']:.3f}, "
+                      f"steady {row['json_steady_median_s']:.3f}), of {REPEATS} runs "
                       f"peak {row['peak_rss_mb']:.0f} MB lines={row['lines']} "
                       f"sha256={row['sha256'][:12]} json={row['json_sha256'][:12]}"
                       + ("" if ok else "  CHECK FAILED"))
 
-    report = {
-        "what": "CLI enumerate seconds per graph (load, listing, writes), text "
-                "and --format json, parent sources against this checkout's",
-        "command": "python3 benchmarks/enumerate_blocks.py --parent " + args.parent,
-        "parent": parent_sha,
-        "change": f"src/ of the checkout at {head}" + (", with uncommitted edits"
-                                                          if modified else ""),
-        "machine": {"python": platform.python_version(), "cpus": os.cpu_count(),
-                    "processor": platform.machine()},
-        "checks_passed": not problems,
-        "rows": rows,
-    }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    for line in problems:
-        print("error: " + line, file=sys.stderr)
-    return 1 if problems else 0
+    return write_report(
+        args.out, "CLI enumerate seconds per graph (load, listing, writes), text "
+                  "and --format json, parent sources against this checkout's",
+        "python3 benchmarks/enumerate_blocks.py --parent " + args.parent,
+        parent_sha, rows, problems)
 
 
 if __name__ == "__main__":

@@ -144,7 +144,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--assume-subdivision-free", action="store_true")
-    p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
+    p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP,
+                   help="skip the truncation check of a dense window with more "
+                   f"cliques than this (default {DEFAULT_NODE_CAP})")
     p.add_argument(
         "--oracle-limit", type=int, default=DEFAULT_SUBDIVISION_LIMIT
     )

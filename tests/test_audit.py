@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from contextlib import nullcontext
 from fractions import Fraction
 from math import comb, isclose
@@ -34,9 +35,9 @@ from clique_census import (
     random_gnp,
     refined_exponents,
 )
-from clique_census.graph import Graph
+from clique_census.graph import Graph, induced_subgraph
 
-from brute import brute_census
+from brute import brute_census, brute_count
 from strategies import WORD_EDGE_SIZES, graphs, grid, word_edge_graphs
 
 
@@ -130,7 +131,7 @@ def assert_skeleton_matches_tree(g, t):
     ]
     # the hanging sizes behind the two aggregate boundary checks
     small_label = small_child = 0
-    for node in boundary:
+    for node, streamed_case in zip(boundary, cases):
         case = tree_case(node, t)
         if case == "small_label":
             small_label = max(small_label, sizes[node.index])
@@ -139,6 +140,12 @@ def assert_skeleton_matches_tree(g, t):
         if case == "dense_window":
             cut = next(i for i, c in enumerate(children)
                        if 10 * c.label_size >= 9 * node.label_size)
+            # the window's tree is the node's child loop from the cut on
+            window = children[cut:]
+            assert streamed_case.window_size == len(window)
+            assert streamed_case.window_tree_size == 1 + sum(sizes[c.index] for c in window)
+            window_graph, _ = induced_subgraph(g, [c.chosen_vertex for c in window])
+            assert streamed_case.window_tree_size == brute_count(window_graph)
             children = children[:cut]
         small_child = max([small_child] + [sizes[c.index] for c in children
                                            if c.index not in want])
@@ -461,27 +468,35 @@ def test_audit_forest_short_circuit():
     assert not checks_by_name(triangle)["forest-count"].holds
 
 
-def test_audit_node_cap_degradation():
-    report = audit_graph(complete(14), AuditConfig(t=4, node_cap=1000))
-    assert report.all_hold
+def test_multipartite_lower_bound_audited_past_the_node_cap():
+    # 3^k cliques, more than the default node cap from k = 15 on, and no
+    # K_{3k/2+1}-subdivision; the skeleton is the root alone
+    names = ["degeneracy-cap", "skeleton-height", "skeleton-size",
+             "boundary-small-subtree", "boundary-excluded-child",
+             "total-product", "total-headline", "degenerate-bound"]
+    for k in range(15, 19):
+        start = time.perf_counter()
+        report = audit_graph(complete_multipartite_222(k), AuditConfig(t=3 * k // 2 + 1))
+        seconds = time.perf_counter() - start
+        assert [c.name for c in report.checks] == names
+        assert report.all_hold
+        assert checks_by_name(report)["total-headline"].lhs == 3**k
+    assert seconds < 2, seconds  # k = 18
+
+
+def test_node_cap_skips_only_the_window_truncation():
+    report = audit_graph(complete(20), AuditConfig(t=4, node_cap=1000))
     named = checks_by_name(report)
-    assert set(named) == {"degeneracy-cap", "total-headline", "degenerate-bound"}
-    assert any("structural audits skipped" in note for note in report.notes)
+    assert "skeleton-size" in named
+    assert "node cap" in named["window@0-truncation"].note
 
 
 def test_node_caps_compare_like_build_tree():
     # build_tree raises CapacityError iff the tree has more nodes than the
-    # cap; the audit and the window truncation skip exactly then
+    # cap; the window truncation skips exactly then
     for cap, skipped in ((2**14, False), (2**14 - 1, True)):
         with pytest.raises(CapacityError) if skipped else nullcontext():
             build_tree(complete(14), node_cap=cap).discard()
-        report = audit_graph(complete(14), AuditConfig(t=4, node_cap=cap))
-        notes = " ".join(report.notes)
-        assert ("structural audits skipped" in notes) == skipped
-        if skipped:
-            assert f"({2**14} nodes)" in notes
-        else:
-            assert "skeleton-size" in checks_by_name(report)
     for cap, skipped in ((2**20, False), (2**20 - 1, True)):
         checks = audit_dense_window(complete(20), 4, node_cap=cap, window_count=2**20)
         named = {c.name: c for c in checks}
