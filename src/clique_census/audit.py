@@ -17,7 +17,8 @@ from math import comb, e, log, log2, sqrt
 
 from .errors import ExtractionError
 from . import backend as _backend
-from .graph import DegeneracyResult, Graph, degeneracy, induced_subgraph, rows
+from .graph import DegeneracyResult, Graph, _row_edges, degeneracy, min_degree_in, rows
+from .graph import induced_subgraph  # noqa: F401  unused here; traced by this name
 from .subdivision import (
     DEFAULT_SUBDIVISION_LIMIT,
     elimination_certificate,
@@ -34,11 +35,11 @@ from .tree import (
 from .tree import build_tree  # noqa: F401  unused here; traced by this name
 
 # perfbench/layers.py times the audit by replacing names in this module
-# (degeneracy, induced_subgraph, count_cliques, build_skeleton,
-# audit_boundary_cases, audit_dense_window, audit_skeleton_size,
-# audit_total and the subdivision oracles), so the audit calls each of
-# them through its module-level name.  It also wraps build_tree here,
-# which the audit never calls; the import above only keeps that name.
+# (degeneracy, count_cliques, build_skeleton, audit_boundary_cases,
+# audit_dense_window, audit_skeleton_size, audit_total and the
+# subdivision oracles), so the audit calls each of them through its
+# module-level name.  It also wraps build_tree and induced_subgraph,
+# which the audit never calls; the imports above only keep those names.
 
 AUDIT_DPS = 50
 
@@ -59,21 +60,15 @@ mp = _LazyMp()
 
 @dataclass(frozen=True)
 class AuditConfig:
-    """Audit parameters; t below 4 short-circuits to the forest case.
-
-    node_cap only skips the truncation walk of a dense window with more
-    cliques than that; every other check runs at any clique count."""
+    """Audit parameters; t below 4 short-circuits to the forest case."""
 
     t: int
     assume_subdivision_free: bool = False
-    node_cap: int = DEFAULT_NODE_CAP
     oracle_limit: int = DEFAULT_SUBDIVISION_LIMIT
 
     def __post_init__(self):
         if self.t < 1:
             raise ValueError("audit needs t >= 1")
-        if self.node_cap < 1:
-            raise ValueError("node_cap must be positive")
         if self.oracle_limit < 0:
             raise ValueError("oracle_limit must be non-negative")
 
@@ -81,7 +76,6 @@ class AuditConfig:
         return {
             "t": self.t,
             "assume_subdivision_free": self.assume_subdivision_free,
-            "node_cap": self.node_cap,
             "oracle_limit": self.oracle_limit,
         }
 
@@ -357,43 +351,50 @@ def _window_start(node: SkeletonNode) -> int | None:
     return None
 
 
-def _largest_label_at_depth(g: Graph, depth: int) -> int:
-    """Largest label size among g's clique-tree nodes at the given depth.
+def _largest_label_at_depth(bits, depth: int) -> int:
+    """Largest label size among the clique-tree nodes at the given depth of
+    the graph with rows `bits`, 0 when there are none.
 
-    Walks the tree down to that depth only."""
-    bits = rows(g)
-    worst = 0
-    stack = [(g.full_mask(), 0)]
-    while stack:
-        label, d = stack.pop()
-        if d == depth:
-            worst = max(worst, label.bit_count())
-            continue
-        stack.extend((child, d + 1) for _, child in _label_children(bits, label))
-    return worst
+    Walks the tree first child first, down to that depth only.  Labels lose
+    a vertex per level, so a node's child loop stops once its candidates
+    left, less the levels to go, cannot beat the best label found."""
+    best = 0
+
+    def visit(label, to_go):
+        nonlocal best
+        if to_go == 0:
+            best = max(best, label.bit_count())
+            return
+        while label.bit_count() - to_go > best:
+            v = min_degree_in(bits, label)
+            visit(label & bits[v], to_go - 1)
+            label ^= 1 << v
+
+    visit((1 << len(bits)) - 1, depth)
+    return best
 
 
 def audit_dense_window(
-    g: Graph,
+    bits,
     t: int,
     *,
+    window_count: int,
     assume_subdivision_free: bool = False,
     oracle_limit: int = DEFAULT_SUBDIVISION_LIMIT,
-    node_cap: int = DEFAULT_NODE_CAP,
     label: str = "window",
-    window_count: int | None = None,
 ) -> list[AuditCheck]:
-    """The four dense-window conditions for a window graph.
+    """The four dense-window conditions for a window with bit rows `bits`.
 
-    window_count is the window's clique count when the caller already has
-    it; None counts it here.  On a failed condition with
-    assume_subdivision_free set, the failure is annotated as a
-    contrapositive subdivision claim and, when the window fits the
-    oracle, confirmed by extracting a witness.
+    window_count is the window's clique count.  The truncation walk is
+    skipped when the window has more cliques than DEFAULT_NODE_CAP.  On a
+    failed condition with assume_subdivision_free set, the failure is
+    annotated as a contrapositive subdivision claim and, when the window
+    fits the oracle, confirmed by extracting a witness from a Graph of
+    the rows, the one place a window leaves its rows.
     """
-    m = g.n
+    m = len(bits)
     checks = []
-    min_deg = min((len(g.adj[v]) for v in range(m)), default=0)
+    min_deg = min((row.bit_count() for row in bits), default=0)
     checks.append(
         AuditCheck(
             name=f"{label}-min-degree",
@@ -413,8 +414,6 @@ def audit_dense_window(
             anchor="window size <= max(20t/11, t^2/5)",
         )
     )
-    if window_count is None:
-        window_count = count_cliques(g)
     checks.append(
         AuditCheck(
             name=f"{label}-clique-count",
@@ -428,7 +427,7 @@ def audit_dense_window(
         with mp.workdps(AUDIT_DPS):
             depth = int(mp.floor(2 * mp.mpf(t * t) / m * mp.log(mp.mpf(m) / t)))
         # the window tree has window_count nodes; past the cap it is not walked
-        if window_count > node_cap:
+        if window_count > DEFAULT_NODE_CAP:
             checks.append(
                 AuditCheck(
                     name=f"{label}-truncation",
@@ -440,7 +439,7 @@ def audit_dense_window(
                 )
             )
         else:
-            worst = _largest_label_at_depth(g, depth)
+            worst = _largest_label_at_depth(bits, depth)
             checks.append(
                 AuditCheck(
                     name=f"{label}-truncation",
@@ -456,6 +455,7 @@ def audit_dense_window(
         for check in failed:
             check.note = f"input contains a K_{t}-subdivision (contrapositive)"
         if m <= oracle_limit:
+            g = Graph(m, _row_edges(bits))
             witness = None
             try:
                 witness = extract_subdivision_dense(g, t)
@@ -510,7 +510,6 @@ def audit_boundary_cases(skeleton: Skeleton, cfg: AuditConfig, g: Graph):
             )
             continue
         window = node.child_vertices[start:]
-        window_graph, _ = induced_subgraph(g, window)
         # the tree of G[window] is this node's child loop from `start` on
         window_count = 1 + sum(node.child_sizes[start:])
         window_tree_sizes.append(window_count)
@@ -525,13 +524,12 @@ def audit_boundary_cases(skeleton: Skeleton, cfg: AuditConfig, g: Graph):
         )
         checks.extend(
             audit_dense_window(
-                window_graph,
+                rows(g, window),
                 t,
+                window_count=window_count,
                 assume_subdivision_free=cfg.assume_subdivision_free,
                 oracle_limit=cfg.oracle_limit,
-                node_cap=cfg.node_cap,
                 label=f"window@{node.index}",
-                window_count=window_count,
             )
         )
         # children preceding the window fell below the small threshold

@@ -47,7 +47,7 @@ from .subdivision import (
     has_minor,
     has_subdivision,
 )
-from .tree import DEFAULT_NODE_CAP, _clique_blocks, census, count_cliques
+from .tree import _clique_blocks, census, count_cliques
 from .tree import enumerate_cliques  # noqa: F401  unused here; traced by this name
 
 EXIT_OK = 0
@@ -144,9 +144,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--assume-subdivision-free", action="store_true")
-    p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP,
-                   help="skip the truncation check of a dense window with more "
-                   f"cliques than this (default {DEFAULT_NODE_CAP})")
     p.add_argument(
         "--oracle-limit", type=int, default=DEFAULT_SUBDIVISION_LIMIT
     )
@@ -211,7 +208,7 @@ def _config_dict(args) -> dict:
         "format": args.format,
         "seed": args.seed,
     }
-    for key in ("t", "node_cap", "oracle_limit", "exhaustive_limit", "mode"):
+    for key in ("t", "oracle_limit", "exhaustive_limit", "mode"):
         if hasattr(args, key):
             cfg[key] = getattr(args, key)
     return cfg
@@ -479,7 +476,6 @@ def _cmd_audit(args) -> _Report:
     cfg = AuditConfig(
         t=args.t,
         assume_subdivision_free=args.assume_subdivision_free,
-        node_cap=args.node_cap,
         oracle_limit=args.oracle_limit,
     )
     report = audit_graph(g, cfg)

@@ -208,13 +208,17 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     with it min-degree tie-breaking) is preserved.
     """
     new_to_old = tuple(sorted(set(vertices)))
+    return Graph(len(new_to_old), _row_edges(rows(g, new_to_old))), new_to_old
+
+
+def _row_edges(bits) -> list[tuple[int, int]]:
+    """Edges (i, j), i < j, of the graph whose bit rows are `bits`."""
     # row i shifted right by i + 1 keeps the neighbours above i: bit j is i + 1 + j
-    edges = [
+    return [
         (i, i + 1 + j)
-        for i, row in enumerate(rows(g, new_to_old))
+        for i, row in enumerate(bits)
         for j in mask_vertices(row >> i + 1)
     ]
-    return Graph(len(new_to_old), edges), new_to_old
 
 
 def rows(g: Graph, vertices: Iterable[int] | None = None) -> list[int]:

@@ -107,6 +107,26 @@ def peeling_certificate(g, beta, threshold) -> tuple[str, frozenset | None]:
     return "unknown", None
 
 
+def largest_label_at_depth(bits, depth) -> int:
+    """Largest label size among the clique-tree nodes at `depth` of the
+    graph with rows `bits`, 0 when no node is that deep, by visiting every
+    node above that depth: the unpruned walk. Each node's children come
+    from rescanning its remaining label for a minimum-degree vertex,
+    smallest id on ties."""
+    worst = 0
+    stack = [((1 << len(bits)) - 1, 0)]
+    while stack:
+        label, d = stack.pop()
+        if d == depth:
+            worst = max(worst, label.bit_count())
+            continue
+        while label:
+            v = min(mask_vertices(label), key=lambda u: ((bits[u] & label).bit_count(), u))
+            stack.append((label & bits[v], d + 1))
+            label ^= 1 << v
+    return worst
+
+
 def brute_cliques(g) -> set[frozenset]:
     """Every clique as a frozenset, by filtering all subsets."""
     nbr = adjacency_masks(g)

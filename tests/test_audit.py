@@ -35,10 +35,16 @@ from clique_census import (
     random_gnp,
     refined_exponents,
 )
-from clique_census.graph import Graph, induced_subgraph
+from clique_census.graph import Graph, induced_subgraph, rows
+from clique_census.tree import DEFAULT_NODE_CAP
 
-from brute import brute_census, brute_count
+from brute import brute_census, brute_count, largest_label_at_depth
 from strategies import WORD_EDGE_SIZES, graphs, grid, word_edge_graphs
+
+
+def window_audit(g, t, **kwargs):
+    """audit_dense_window on the rows of all of g, as one window."""
+    return audit_dense_window(rows(g), t, window_count=count_cliques(g), **kwargs)
 
 
 def k_minus_matching(n):
@@ -213,9 +219,12 @@ def depth_scan(g):
 
 
 def assert_truncation_query_matches_tree(g):
+    # the pruned walk, the unpruned reference walk and the materialized tree
     worst = depth_scan(g)
+    bits = rows(g)
     for depth in range(max(worst) + 2):
-        assert audit_module._largest_label_at_depth(g, depth) == worst.get(depth, 0)
+        assert audit_module._largest_label_at_depth(bits, depth) == worst.get(depth, 0)
+        assert largest_label_at_depth(bits, depth) == worst.get(depth, 0)
 
 
 @given(graphs(max_n=12))
@@ -232,6 +241,20 @@ def test_truncation_query_matches_tree_across_word_edges():
         assert_truncation_query_matches_tree(g)
 
 
+def test_pruned_truncation_walk_matches_unpruned_on_dense_windows():
+    # whole dense G(m, p) as windows: m >= 5t, so the audit walks them to
+    # depth floor(2 (t^2/m) ln(m/t)) = 5 and 6; build_tree would have to
+    # materialize millions of nodes
+    for m, p, t, depth in ((40, Fraction(17, 20), 8, 5), (50, Fraction(3, 4), 10, 6)):
+        g = random_gnp(m, p, seed=0)
+        bits = rows(g)
+        for d in (depth - 1, depth):
+            assert (audit_module._largest_label_at_depth(bits, d)
+                    == largest_label_at_depth(bits, d))
+        truncation = {c.name: c for c in window_audit(g, t)}["window-truncation"]
+        assert truncation.lhs == largest_label_at_depth(bits, depth)
+
+
 def audit_inputs():
     """The audits of this file and of the acceptance suite."""
     probs = (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5))
@@ -245,7 +268,7 @@ def audit_inputs():
         (Graph(0, []), AuditConfig(t=4)),
         (path_power(5, 1), AuditConfig(t=3)),
         (complete(3), AuditConfig(t=3)),
-        (complete(14), AuditConfig(t=4, node_cap=1000)),
+        (complete(14), AuditConfig(t=4)),
         (k_minus_matching(20), AuditConfig(t=4, assume_subdivision_free=True)),
     ] + [
         (random_gnp(8 + (i % 11), probs[i % 3], seed=1000 + i),
@@ -264,10 +287,40 @@ def test_audit_builds_no_tree(monkeypatch):
     with pytest.raises(AssertionError):
         build_tree(complete(2))
     assert [audit_graph(g, cfg).to_json() for g, cfg in audit_inputs()] == want
-    checks = audit_dense_window(path_power(24, 2), 4)
+    checks = window_audit(path_power(24, 2), 4)
     assert {c.name: c for c in checks}["window-truncation"].holds
-    checks = audit_dense_window(complete(20), 4, node_cap=100, window_count=2**20)
+    checks = audit_dense_window(rows(complete(20)), 4, window_count=DEFAULT_NODE_CAP + 1)
     assert "node cap" in {c.name: c for c in checks}["window-truncation"].note
+
+
+def test_dense_windows_stay_bit_rows(monkeypatch):
+    # a window becomes a Graph only on the oracle branch: a failed check,
+    # the premise assumed, and the window within the oracle limit
+    planted = Graph(200, path_power(200, 2).edges() + [
+        (u, v) for u in range(3, 200, 15) for v in range(u + 15, 200, 15)])
+    cases = [(complete(20), AuditConfig(t=4)), (planted, AuditConfig(t=4))]
+    oracle_window = rows(k_minus_matching(10))
+    built = []
+    init = Graph.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the audit built a window graph by induced_subgraph")
+
+    monkeypatch.setattr(Graph, "__init__", counted)
+    monkeypatch.setattr(audit_module, "induced_subgraph", refuse)
+    for g, cfg in cases:
+        report = audit_graph(g, cfg)
+        windows = [c for c in report.boundary_cases if c.case == "dense_window"]
+        assert windows and built == []
+    assert [c.window_size for c in windows] == [13]
+    checks = audit_dense_window(oracle_window, 4, window_count=3**5,
+                                assume_subdivision_free=True)
+    assert {c.name: c for c in checks}["window-oracle"].holds
+    assert built[0] == 10
 
 
 def test_audit_peels_the_input_once(monkeypatch):
@@ -308,15 +361,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         AuditConfig(t=0)
     with pytest.raises(ValueError):
-        AuditConfig(t=4, node_cap=0)
-    with pytest.raises(ValueError):
         AuditConfig(t=4, oracle_limit=-1)
     assert AuditConfig(t=4, oracle_limit=0).oracle_limit == 0
 
 
 def test_dense_window_clean_pass():
     # a 10-vertex clique at t = 8: within every window condition
-    checks = audit_dense_window(complete(10), 8)
+    checks = window_audit(complete(10), 8)
     named = {c.name: c for c in checks}
     assert named["window-min-degree"].holds  # 90 >= 90
     assert named["window-size"].holds  # 10 <= 160/11
@@ -328,7 +379,7 @@ def test_dense_window_clean_pass():
 
 def test_dense_window_contrapositive_with_oracle():
     g = k_minus_matching(10)
-    checks = audit_dense_window(g, 4, assume_subdivision_free=True)
+    checks = window_audit(g, 4, assume_subdivision_free=True)
     named = {c.name: c for c in checks}
     assert not named["window-min-degree"].holds  # 8 < 9
     assert not named["window-size"].holds  # 10 > 80/11
@@ -338,18 +389,18 @@ def test_dense_window_contrapositive_with_oracle():
 
 
 def test_dense_window_no_oracle_without_assumption():
-    checks = audit_dense_window(k_minus_matching(10), 4)
+    checks = window_audit(k_minus_matching(10), 4)
     named = {c.name: c for c in checks}
     assert "window-oracle" not in named
     assert named["window-min-degree"].note == ""
 
 
 def test_dense_window_truncation_depth():
-    checks = audit_dense_window(path_power(24, 2), 4)
+    checks = window_audit(path_power(24, 2), 4)
     named = {c.name: c for c in checks}
     assert named["window-truncation"].holds
     assert not named["window-size"].holds
-    checks = audit_dense_window(complete(20), 4, node_cap=100)
+    checks = audit_dense_window(rows(complete(20)), 4, window_count=DEFAULT_NODE_CAP + 1)
     named = {c.name: c for c in checks}
     assert named["window-truncation"].holds
     assert "node cap" in named["window-truncation"].note
@@ -485,9 +536,17 @@ def test_multipartite_lower_bound_audited_past_the_node_cap():
 
 
 def test_node_cap_skips_only_the_window_truncation():
-    report = audit_graph(complete(20), AuditConfig(t=4, node_cap=1000))
+    checks = audit_dense_window(rows(complete(20)), 4, window_count=DEFAULT_NODE_CAP + 1)
+    named = {c.name: c for c in checks}
+    assert [c.name for c in checks] == ["window-min-degree", "window-size",
+                                        "window-clique-count", "window-truncation"]
+    assert not named["window-clique-count"].holds
+    assert "node cap" in named["window-truncation"].note
+    # K_24's one window, all of it, has 2^24 cliques, past the cap
+    report = audit_graph(complete(24), AuditConfig(t=4))
     named = checks_by_name(report)
     assert "skeleton-size" in named
+    assert named["window@0-clique-count"].lhs == 2**24
     assert "node cap" in named["window@0-truncation"].note
 
 
@@ -497,8 +556,8 @@ def test_node_caps_compare_like_build_tree():
     for cap, skipped in ((2**14, False), (2**14 - 1, True)):
         with pytest.raises(CapacityError) if skipped else nullcontext():
             build_tree(complete(14), node_cap=cap).discard()
-    for cap, skipped in ((2**20, False), (2**20 - 1, True)):
-        checks = audit_dense_window(complete(20), 4, node_cap=cap, window_count=2**20)
+    for count, skipped in ((DEFAULT_NODE_CAP, False), (DEFAULT_NODE_CAP + 1, True)):
+        checks = audit_dense_window(rows(complete(20)), 4, window_count=count)
         named = {c.name: c for c in checks}
         assert ("node cap" in named["window-truncation"].note) == skipped
         assert named["window-truncation"].lhs == (0 if skipped else 18)

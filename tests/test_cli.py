@@ -353,11 +353,12 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["check-minor", "--construct", "petersen", "--t", "5", "--oracle-limit", "-1"],
         ["sparse-check", "--construct", "petersen", "--t", "5", "--exhaustive-limit", "-1"],
         ["audit", "--construct", "petersen", "--t", "5", "--oracle-limit", "-1"],
-        ["audit", "--construct", "petersen", "--t", "5", "--node-cap", "-1"],
     ):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert "must be non-negative" in err or "must be positive" in err
+    # the dense-window guard is a constant, not an option
+    assert run(capsys, "audit", "--construct", "petersen", "--t", "5", "--node-cap", "9")[0] == 2
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
 
@@ -585,7 +586,6 @@ def test_audit_json_merges_config(capsys):
     assert cfg["command"] == "audit"
     assert cfg["t"] == 4
     assert cfg["assume_subdivision_free"] is False
-    assert cfg["node_cap"] > 0
     assert payload["all_hold"] is False
     assert any(c["name"] == "window@0-size" for c in payload["checks"])
 
@@ -612,7 +612,7 @@ JSON_KEY_ORDER = {
     ),
     "audit --t 4": (
         ["config", "graph", "checks", "boundary_cases", "notes", "all_hold"],
-        ["t", "assume_subdivision_free", "node_cap", "oracle_limit"] + BASE_CONFIG,
+        ["t", "assume_subdivision_free", "oracle_limit"] + BASE_CONFIG,
     ),
 }
 
