@@ -36,24 +36,11 @@ from common import ROOT, export_src, run_child, write_report
 # Runs in a fresh interpreter after common's preamble: the arguments are
 # family, n, repeats.
 _CHILD = r"""
-import json, math, random, statistics
+import json, statistics
 import clique_census as cc
 family, n, repeats = sys.argv[3], int(sys.argv[4]), int(sys.argv[5])
-
-def gnp(n, p, seed):
-    rng = random.Random(seed)
-    edges, lq = [], math.log(1 - p)
-    v, w = 1, -1
-    while v < n:
-        w += 1 + int(math.log(1 - rng.random()) / lq)
-        while w >= v and v < n:
-            w -= v
-            v += 1
-        if v < n:
-            edges.append((w, v))
-    return cc.Graph(n, edges)
-
-g = cc.path_power(n, 6) if family == "path_power" else gnp(n, 10 / n, seed=1)
+g = (cc.path_power(n, 6) if family == "path_power"
+     else cc.Graph(n, gnp_edges(n, 10 / n, seed=1)))
 seconds, steady = [], []
 for _ in range(repeats):
     raw, scaled, res = timed(lambda: cc.census(g))

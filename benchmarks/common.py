@@ -11,6 +11,9 @@ records two figures per run:
 - `steady_s`: the same seconds scaled by perfbench/speed.py's SpeedProbe
   to a fixed host speed, so that rows from a slow spell and a fast spell
   of a shared machine can be compared.
+
+The child code may also call `gnp_edges(n, p, seed)`, the sparse random
+graph the scripts share.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # Put before a script's child code. The child's argv is src, perfbench,
 # then the script's own arguments, so those start at sys.argv[3].
 _PREAMBLE = r"""
-import sys, time
+import math, random, sys, time
 sys.path.insert(0, sys.argv[1])
 sys.path.append(sys.argv[2])
 from speed import SpeedProbe
@@ -42,6 +45,22 @@ def timed(fn):
         wall = time.perf_counter() - t0
     raw = probe.net(wall)
     return raw, raw * probe.scale, out
+
+def gnp_edges(n, p, seed):
+    # the edges of G(n, p), drawn by geometric skipping over the pairs
+    # (Batagelj and Brandes, Phys. Rev. E 2005): one draw per edge, not
+    # one per pair as the package's random_gnp
+    rng = random.Random(seed)
+    edges, lq = [], math.log(1 - p)
+    v, w = 1, -1
+    while v < n:
+        w += 1 + int(math.log(1 - rng.random()) / lq)
+        while w >= v and v < n:
+            w -= v
+            v += 1
+        if v < n:
+            edges.append((w, v))
+    return edges
 """
 
 

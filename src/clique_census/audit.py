@@ -29,7 +29,7 @@ from .subdivision import (
 from .tree import (
     DEFAULT_NODE_CAP,
     _label_children,
-    _later_neighbours,
+    _local_graphs,
     count_cliques,
 )
 from .tree import build_tree  # noqa: F401  unused here; traced by this name
@@ -300,8 +300,8 @@ def build_skeleton(g: Graph, t: int,
         return next_index - index
 
     walk(0, 0, g.n, None, (
-        (v, tuple(rows(g, ids)), ids, (1 << len(ids)) - 1)
-        for v, ids in _later_neighbours(g, peel.ordering)
+        (v, bits, ids, (1 << len(ids)) - 1)
+        for v, ids, bits in _local_graphs(g, peel.ordering)
     ))
     return Skeleton(nodes=tuple(nodes), height=max(node.depth for node in nodes))
 
@@ -490,6 +490,10 @@ def audit_boundary_cases(skeleton: Skeleton, cfg: AuditConfig, g: Graph):
     small_label_max = 0
     small_child_max = 0
     have_fallback_nodes = False
+    # the checks of a window, named "window-...": t and the flags are the
+    # same for the whole call, so windows with equal rows and clique
+    # counts get equal checks, and each such pair is audited once
+    window_checks: dict[tuple[tuple[int, ...], int], list[AuditCheck]] = {}
 
     for node in skeleton.boundary_nodes():
         label_size = node.label_size
@@ -522,15 +526,20 @@ def audit_boundary_cases(skeleton: Skeleton, cfg: AuditConfig, g: Graph):
                 window_tree_size=window_count,
             )
         )
-        checks.extend(
-            audit_dense_window(
-                rows(g, window),
+        key = (tuple(rows(g, window)), window_count)
+        if key not in window_checks:
+            window_checks[key] = audit_dense_window(
+                key[0],
                 t,
                 window_count=window_count,
                 assume_subdivision_free=cfg.assume_subdivision_free,
                 oracle_limit=cfg.oracle_limit,
-                label=f"window@{node.index}",
             )
+        label = f"window@{node.index}"
+        checks.extend(
+            AuditCheck(label + c.name.removeprefix("window"), c.lhs, c.rhs, c.holds,
+                       c.anchor, c.note)
+            for c in window_checks[key]
         )
         # children preceding the window fell below the small threshold
         for pos in node.excluded():

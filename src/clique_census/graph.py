@@ -4,11 +4,13 @@ A graph stores its adjacency once, as one frozenset of neighbours per
 vertex, so it takes O(n + m) memory. Graph(n, pairs) is the one place that
 drops duplicate edges and counts them: the readers hand it the pairs as
 read. The census kernel and the min-degree descents read bit rows instead
-(Python ints, so there is no width cap); rows(g, vertices) builds them for
-one induced subgraph at a time, and is the one relabeller: induced
-subgraphs are built from its rows. Vertices are always addressed by id;
-induced subgraphs and their rows relabel to 0..k-1 preserving the
-relative order of the surviving ids, which keeps min-degree tie-breaking
+(Python ints, so there is no width cap). rows(g, vertices) builds them for
+the whole graph or for one vertex set, such as a dense window, and
+induced subgraphs are built from its rows; the local graphs of a root
+split get theirs from the forward sets in tree._local_graphs, which
+equal rows(g, ids). Vertices are always addressed by id; induced
+subgraphs and their rows relabel to 0..k-1 preserving the relative
+order of the surviving ids, which keeps min-degree tie-breaking
 consistent between a graph and its subgraphs.
 """
 
@@ -284,30 +286,42 @@ def degeneracy(g: Graph) -> DegeneracyResult:
     removed vertex had at removal time. Every suffix of the ordering induces
     a subgraph whose first listed vertex has degree at most d.
 
-    Peels in O(m log n) with a lazy-deletion heap keyed (degree, id), as in
-    Matula and Beck's smallest-last ordering: a vertex's stale entries carry
-    a higher degree than its live one, so they pop only after the vertex
-    is removed, and are skipped.
+    This is Matula and Beck's smallest-last peel ("Smallest-last ordering
+    and clustering and graph coloring algorithms", J. ACM 1983) with one
+    small heap of ids per degree, so ties go to the smallest id. It pops
+    from the lowest nonempty bucket and skips an entry whose vertex no
+    longer has that bucket's degree (a removed vertex has degree -1).
+    A removal lowers each degree by at most one, so the bucket pointer
+    steps down by at most one per removal, and a vertex enters each
+    bucket at most once: n + m pushes and pops, each on one degree's heap.
     """
-    n = g.n
     deg = [len(a) for a in g.adj]
-    heap = [deg[v] * n + v for v in range(n)]  # key (degree, id) as one int
-    heapq.heapify(heap)
-    removed = bytearray(n)
+    buckets: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
+    for v, k in enumerate(deg):
+        buckets[k].append(v)  # ids ascending, so each bucket is a heap
+    heappop, heappush = heapq.heappop, heapq.heappush
     order = []
-    d = 0
-    while heap:
-        k, v = divmod(heapq.heappop(heap), n)
-        if removed[v]:
-            continue
-        removed[v] = 1
+    d = b = 0
+    for _ in range(g.n):
+        while True:
+            bucket = buckets[b]
+            if not bucket:
+                b += 1
+                continue
+            v = heappop(bucket)
+            if deg[v] == b:
+                break
         order.append(v)
-        if k > d:
-            d = k
+        if b > d:
+            d = b
+        deg[v] = -1
         for u in g.adj[v]:
-            if not removed[u]:
-                deg[u] -= 1
-                heapq.heappush(heap, deg[u] * n + u)
+            k = deg[u]
+            if k > 0:  # u is still in the graph, so it had v as a neighbour
+                deg[u] = k - 1
+                heappush(buckets[k - 1], u)
+        if b:
+            b -= 1
     return DegeneracyResult(d, tuple(order))
 
 

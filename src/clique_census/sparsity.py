@@ -13,7 +13,7 @@ from itertools import islice
 
 from .errors import OracleLimitError
 from .graph import Graph, degeneracy, mask_vertices, rows
-from .tree import _later_neighbours
+from .tree import _local_graphs
 
 DEFAULT_EXHAUSTIVE_LIMIT = 22
 
@@ -114,8 +114,8 @@ def check_local_sparsity(
         # and the removed vertex's degree there counts its later neighbours
         p, q = beta.numerator, beta.denominator
         order = degeneracy(g).ordering
-        steps = islice(_later_neighbours(g, order), max(0, g.n - threshold + 1))
-        for i, (_, later) in enumerate(steps):
+        steps = islice(_local_graphs(g, order), max(0, g.n - threshold + 1))
+        for i, (_, later, _) in enumerate(steps):
             if len(later) * q > p * (g.n - i):
                 return SparsityCertificate(
                     "violated", "peeling", params, frozenset(order[i:])

@@ -9,16 +9,20 @@ a node is the set of chosen vertices along its root path.
 
 Every count and walk here splits the graph the same way: order the
 vertices, then give each vertex v the label of its neighbours after it in
-that order (_later_neighbours). Each clique then lies below exactly one
-vertex, its first in the order, as that vertex plus a clique of G[label].
+that order. Each clique then lies below exactly one vertex, its first in
+the order, as that vertex plus a clique of G[label]. One producer,
+_local_graphs, makes this split for every caller: it computes each
+vertex's forward set once and yields each label with the bit rows of
+its local graph, set from its members' forward sets; a label that is a
+clique shares one K_k rows tuple and is not relabelled.
 
 - The root's choice sequence is exactly the min-degree peeling order of
   degeneracy(g), so under the peel the labels are the root children's:
   |L_v| <= d, and v's subtree is the tree of G[L_v] with ids relabelled
-  in order. Enumeration, build_tree and the audit's skeleton use this
-  split. Enumeration runs on the bit rows of these local graphs
-  (graph.rows), so each step below the root costs time in the size of a
-  local subproblem, not in n.
+  in order. Enumeration, build_tree, the audit's skeleton and the
+  sparsity probe use this split. Enumeration runs on the bit rows of
+  these local graphs, so each step below the root costs time in the
+  size of a local subproblem, not in n.
 - The census needs no tree order, so it orders by (degree, id): one sort
   and no peel. A label then has at most sqrt(2m) vertices, and the census
   kernel counts each distinct local graph once, by pivoting, without
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from . import backend as _backend
@@ -145,18 +150,55 @@ class CliqueSearchTree:
             node.children.clear()
 
 
-def _later_neighbours(g: Graph, order) -> Iterator[tuple[int, list[int]]]:
-    """Yield (v, sorted list of v's neighbours after v in `order`), for
-    each vertex v in `order`.
+@lru_cache(maxsize=64)  # bounded: the rows of K_k take k^2 bits
+def _clique_rows(k: int) -> tuple[int, ...]:
+    """Bit rows of K_k, one shared tuple per k."""
+    full = (1 << k) - 1
+    return tuple(full ^ (1 << i) for i in range(k))
+
+
+def _local_graphs(g: Graph, order) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """Yield (v, ids, bits) for each vertex v in `order`: ids are v's
+    neighbours after v in the order, sorted, and bits are the rows of
+    G[ids], relabelled in id order as graph.rows(g, ids) gives them.
 
     Each edge lies in exactly one label, at whichever endpoint comes
-    first. Labels are streamed, so no list of all n labels is ever held.
+    first. An edge of G[ids] joins two later vertices, so it lies in the
+    forward set of its earlier end: a label's rows are set from its
+    members' forward sets, each edge once on both of its bits (Chiba and
+    Nishizeki, SIAM J. Comput. 1985). A label with C(k, 2) edges is a
+    k-clique and shares one K_k rows tuple, with no relabel; one with no
+    edge gets zero rows. `order` is read twice. The forward sets take
+    O(n + m) memory; the local graphs are streamed, so no list of all n
+    of them is ever held.
     """
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    for i, v in enumerate(order):
-        yield v, sorted(u for u in g.adj[v] if pos[u] > i)
+    # forward[v]: v's neighbours after it in the order, sorted
+    forward: list[tuple[int, ...]] = [()] * g.n
+    done = set()
+    for v in order:
+        done.add(v)
+        forward[v] = tuple(sorted(g.adj[v] - done))
+    del done
+    for v in order:
+        ids = forward[v]
+        k = len(ids)
+        label = frozenset(ids)
+        inner = [label.intersection(forward[u]) for u in ids]
+        edges = sum(map(len, inner))
+        if edges == k * (k - 1) // 2:
+            yield v, ids, _clique_rows(k)
+            continue
+        if edges == 0:
+            yield v, ids, (0,) * k
+            continue
+        at = {u: i for i, u in enumerate(ids)}
+        bits = [0] * k
+        for i, later in enumerate(inner):
+            for u in later:
+                j = at[u]
+                bits[i] |= 1 << j
+                bits[j] |= 1 << i
+        yield v, ids, tuple(bits)
 
 
 def _label_children(bits, label: int) -> Iterator[tuple[int, int]]:
@@ -190,7 +232,7 @@ def build_tree(g: Graph, node_cap: int = DEFAULT_NODE_CAP) -> CliqueSearchTree:
         return child
 
     bits = rows(g)
-    for v, later in _later_neighbours(g, degeneracy(g).ordering):
+    for v, later, _ in _local_graphs(g, degeneracy(g).ordering):
         label = sum(1 << u for u in later)
         top = attach(root, v, label)
         stack: list[tuple[CliqueTreeNode, int]] = [(top, label)]
@@ -245,7 +287,7 @@ def census(g: Graph, threads: int = 1, backend: str | None = None) -> CliqueCens
     _backend.check_backend(backend)
     # sorted is stable, so equal degrees keep increasing id order
     by_degree = sorted(range(g.n), key=lambda v: len(g.adj[v]))
-    local_graphs = Counter(tuple(rows(g, ids)) for _, ids in _later_neighbours(g, by_degree))
+    local_graphs = Counter(bits for _, _, bits in _local_graphs(g, by_degree))
     counts = [1]
     for bits, times in local_graphs.items():
         res = _backend.census_of_subset(bits, (1 << len(bits)) - 1)
@@ -300,12 +342,11 @@ def _clique_blocks(g: Graph) -> Iterator[tuple[tuple[int, ...], tuple[int, ...],
     the label, so no step scans n-bit masks.
     """
     yield (), (), True
-    for v, ids in _later_neighbours(g, degeneracy(g).ordering):
+    for v, ids, bits in _local_graphs(g, degeneracy(g).ordering):
         top = (v,)
-        bits = rows(g, ids)
         full = (1 << len(ids)) - 1
         if _is_clique(bits, full):
-            yield top, tuple(ids), True
+            yield top, ids, True
             continue
         yield top, (), True
         # entries are (nonempty label left, clique of the node whose

@@ -323,6 +323,39 @@ def test_dense_windows_stay_bit_rows(monkeypatch):
     assert built[0] == 10
 
 
+def test_equal_dense_windows_are_audited_once(monkeypatch):
+    # G(28, 9/10) at t=4 has 101 dense windows, but only 4 distinct pairs
+    # of window rows and clique count; every window fails a check and
+    # reaches the oracle
+    g = random_gnp(28, Fraction(9, 10), seed=3)
+    cfg = AuditConfig(t=4, assume_subdivision_free=True)
+    calls = []
+
+    def counted(bits, *args, **kwargs):
+        calls.append((tuple(bits), kwargs["window_count"]))
+        return audit_dense_window(bits, *args, **kwargs)
+
+    monkeypatch.setattr(audit_module, "audit_dense_window", counted)
+    report = audit_graph(g, cfg)
+    # each window audited on its own, under its own name
+    expected, keys = [], set()
+    for node in build_skeleton(g, cfg.t).boundary_nodes():
+        start = audit_module._window_start(node)
+        if node.label_size ** 2 <= 10 * cfg.t ** 2 or start is None:
+            continue
+        bits = rows(g, node.child_vertices[start:])
+        count = 1 + sum(node.child_sizes[start:])
+        keys.add((tuple(bits), count))
+        expected += audit_dense_window(bits, cfg.t, window_count=count,
+                                       assume_subdivision_free=True,
+                                       label=f"window@{node.index}")
+    windows = [c for c in report.boundary_cases if c.case == "dense_window"]
+    assert len(windows) == 101 and len(keys) == 4
+    assert sorted(calls) == sorted(keys)
+    got = [c for c in report.checks if c.name.startswith("window@")]
+    assert [c.to_json() for c in got] == [c.to_json() for c in expected]
+    assert sum(c.name.endswith("-oracle") for c in got) == 101
+
 def test_audit_peels_the_input_once(monkeypatch):
     for g, cfg in audit_inputs():
         if cfg.t <= 3 or g.n == 0:

@@ -11,10 +11,14 @@ from clique_census import (
     Graph,
     GraphParseError,
     average_degree,
+    complete,
+    complete_multipartite_222,
+    cycle,
     degeneracy,
     induced_subgraph,
     parse_dimacs,
     parse_graph,
+    path_power,
     serialize,
 )
 from clique_census.graph import load_graph, mask_vertices, min_degree_in, rows
@@ -295,6 +299,34 @@ def test_degeneracy_matches_naive_peel(g):
 def test_degeneracy_matches_naive_peel_at_word_edges(n):
     for g in word_edge_graphs(n):
         assert tuple(degeneracy(g)) == naive_degeneracy(g)
+
+
+def test_bucket_peel_on_tie_heavy_graphs():
+    star = Graph(10, [(0, v) for v in range(1, 10)])
+    star_at_top = Graph(10, [(9, v) for v in range(9)])
+    wheel = Graph(13, [(0, v) for v in range(1, 13)]
+                  + [(v, v % 12 + 1) for v in range(1, 13)])
+    cases = [Graph(0, []), Graph(7, []), complete(1), complete(9), star, star_at_top,
+             path_power(30, 3), path_power(66, 6), complete_multipartite_222(5),
+             cycle(12), wheel]
+    for g in cases:
+        assert tuple(degeneracy(g)) == naive_degeneracy(g)
+    # the last leaf and the hub tie at degree 1, and the hub has the smaller id
+    assert degeneracy(star) == (1, tuple(range(1, 9)) + (0, 9))
+    assert degeneracy(star_at_top) == (1, tuple(range(10)))
+
+
+def test_bucket_peel_steps_below_the_current_bucket():
+    # removing a vertex of the lowest bucket b drops each neighbour to
+    # b - 1, below that bucket, so the next pop comes from bucket b - 1
+    assert degeneracy(complete(4)) == (3, (0, 1, 2, 3))
+    assert degeneracy(cycle(5)) == (2, (0, 1, 2, 3, 4))
+    # peeling 4 and the cycle 5-6-7-8 drops 5 from degree 4 to 1 a bucket
+    # at a time, leaving a stale entry in each bucket it passes
+    g = Graph(9, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (1, 3), (0, 5),
+                  (4, 5), (5, 6), (6, 7), (7, 8), (5, 8), (4, 1)])
+    assert degeneracy(g) == (3, (4, 6, 7, 8, 5, 0, 1, 2, 3))
+    assert tuple(degeneracy(g)) == naive_degeneracy(g)
 
 
 def test_average_degree():

@@ -23,7 +23,7 @@ from clique_census import (
     path_power,
 )
 from clique_census.graph import degeneracy, rows
-from clique_census.tree import _clique_blocks, _later_neighbours
+from clique_census.tree import _clique_blocks, _local_graphs
 
 from brute import (
     RootedSubtree,
@@ -223,13 +223,13 @@ def assert_split_invariants(g):
     one label; under the peel every label has at most d vertices."""
     peel = degeneracy(g)
     for order in (peel.ordering, by_degree(g)):
-        labels = {v: set(ids) for v, ids in _later_neighbours(g, order)}
+        labels = {v: set(ids) for v, ids, _ in _local_graphs(g, order)}
         assert list(labels) == list(order)
         assert sum(map(len, labels.values())) == g.edge_count
         for v, label in labels.items():
             assert label <= g.adj[v]
             assert all(v not in labels[u] for u in label)
-    assert all(len(ids) <= peel.d for _, ids in _later_neighbours(g, peel.ordering))
+    assert all(len(ids) <= peel.d for _, ids, _ in _local_graphs(g, peel.ordering))
 
 
 @given(graphs())
@@ -254,12 +254,57 @@ def test_root_split_at_word_edges(n):
         for i, child in enumerate(tree.root.children):
             assert child.label == g.adj[order[i]] & set(order[i + 1:])
         # the streamed split gives the same labels as sorted id lists
-        for i, (v, ids) in enumerate(_later_neighbours(g, order)):
+        for i, (v, ids, _) in enumerate(_local_graphs(g, order)):
             assert v == order[i]
-            assert ids == sorted(g.adj[v] & set(order[i + 1:]))
+            assert list(ids) == sorted(g.adj[v] & set(order[i + 1:]))
         assert_split_invariants(g)
 
 
+
+def assert_local_graphs_match_rows(g):
+    """Under the peel and under (degree, id), each label is the sorted
+    later neighbours, and its rows are those rows(g, ids) builds."""
+    for order in (degeneracy(g).ordering, by_degree(g)):
+        local = list(_local_graphs(g, order))
+        assert [v for v, _, _ in local] == list(order)
+        for i, (v, ids, bits) in enumerate(local):
+            assert list(ids) == sorted(g.adj[v] & set(order[i + 1:]))
+            assert list(bits) == rows(g, ids)
+
+
+@given(graphs())
+def test_local_graphs_match_rows(g):
+    assert_local_graphs_match_rows(g)
+
+
+@pytest.mark.parametrize("n", WORD_EDGE_SIZES)
+def test_local_graphs_match_rows_at_word_edges(n):
+    for g in word_edge_graphs(n):
+        assert_local_graphs_match_rows(g)
+
+
+def test_local_graphs_of_clique_and_near_clique_labels():
+    # in id order, vertex i of K_66 has the clique label i+1..65, so the
+    # labels are cliques of every size from 65 down to 0
+    g = k(66)
+    local = list(_local_graphs(g, range(66)))
+    assert [len(ids) for _, ids, _ in local] == list(range(65, -1, -1))
+    for v, ids, bits in local:
+        assert ids == tuple(range(v + 1, 66))
+        assert list(bits) == rows(g, ids)
+    # a hub joined to K_k minus one edge: the label misses one edge of a
+    # clique, so it must not get the clique's rows
+    for size in (2, 3, 64, 65):
+        for a, b in {(0, 1), (0, size - 1), (size - 2, size - 1), (size // 2 - 1, size // 2)}:
+            edges = [(0, u) for u in range(1, size + 1)]
+            edges += [(u, w) for u in range(1, size + 1) for w in range(u + 1, size + 1)
+                      if (u, w) != (a + 1, b + 1)]
+            h = Graph(size + 1, edges)
+            v, ids, bits = next(_local_graphs(h, range(size + 1)))
+            assert (v, ids) == (0, tuple(range(1, size + 1)))
+            assert list(bits) == rows(h, ids)
+            assert not bits[a] >> b & 1 and not bits[b] >> a & 1
+            assert sum(row.bit_count() for row in bits) == size * (size - 1) - 2
 
 def kernel_calls(monkeypatch, fn, *args):
     """(result of fn(*args), number of kernel runs it made)."""
@@ -299,7 +344,7 @@ def test_census_where_degree_order_is_far_from_the_peel(path_len):
     # words, while the peel gives every vertex at most d = 2 later ones
     g = hub_path_with_leaves(path_len)
     assert degeneracy(g).d == 2
-    assert max(len(ids) for _, ids in _later_neighbours(g, by_degree(g))) == path_len
+    assert max(len(ids) for _, ids, _ in _local_graphs(g, by_degree(g))) == path_len
     expected = extension_census(g)
     assert list(census(g).counts) == expected
     tree = build_tree(g)
@@ -311,8 +356,8 @@ def test_enumerate_with_isolated_vertices():
     # 0, 4 and 7 are isolated, and every vertex last in its component's
     # peel has an empty root-child label too
     g = Graph(8, [(1, 2), (2, 3), (1, 3), (5, 6)])
-    root_labels = [label for _, label in _later_neighbours(g, degeneracy(g).ordering)]
-    assert root_labels.count([]) == 5
+    root_labels = [label for _, label, _ in _local_graphs(g, degeneracy(g).ordering)]
+    assert root_labels.count(()) == 5
     _assert_public_enumeration(g, build_tree(g))
     assert set(enumerate_cliques(g)) == brute_cliques(g)
 
@@ -324,10 +369,10 @@ import sys
 sys.path.insert(0, sys.argv[1])
 from clique_census import path_power
 from clique_census.graph import degeneracy
-from clique_census.tree import _later_neighbours
+from clique_census.tree import _local_graphs
 g = path_power(int(sys.argv[2]), 6)
 peel = degeneracy(g)
-assert sum(len(ids) for _, ids in _later_neighbours(g, peel.ordering)) == g.edge_count
+assert sum(len(ids) for _, ids, _ in _local_graphs(g, peel.ordering)) == g.edge_count
 with open("/proc/self/status") as fh:
     print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")))
 """
