@@ -287,13 +287,14 @@ def degeneracy(g: Graph) -> DegeneracyResult:
     a subgraph whose first listed vertex has degree at most d.
 
     This is Matula and Beck's smallest-last peel ("Smallest-last ordering
-    and clustering and graph coloring algorithms", J. ACM 1983) with one
-    small heap of ids per degree, so ties go to the smallest id. It pops
-    from the lowest nonempty bucket and skips an entry whose vertex no
-    longer has that bucket's degree (a removed vertex has degree -1).
-    A removal lowers each degree by at most one, so the bucket pointer
-    steps down by at most one per removal, and a vertex enters each
-    bucket at most once: n + m pushes and pops, each on one degree's heap.
+    and clustering and graph coloring algorithms", J. ACM 1983), with one
+    small heap of ids per degree in place of their plain buckets, so ties
+    go to the smallest id. It pops from the lowest nonempty bucket and
+    skips an entry whose vertex no longer has that bucket's degree (a
+    removed vertex has degree -1). A removal lowers each degree by at
+    most one, so the bucket pointer steps down by at most one per
+    removal, and a vertex enters each bucket at most once: n + m pushes
+    and pops, each on one degree's heap.
     """
     deg = [len(a) for a in g.adj]
     buckets: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
