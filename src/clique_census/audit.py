@@ -381,7 +381,6 @@ def audit_dense_window(
     window_count: int,
     assume_subdivision_free: bool = False,
     oracle_limit: int = DEFAULT_SUBDIVISION_LIMIT,
-    label: str = "window",
 ) -> list[AuditCheck]:
     """The four dense-window conditions for a window with bit rows `bits`.
 
@@ -397,7 +396,7 @@ def audit_dense_window(
     min_deg = min((row.bit_count() for row in bits), default=0)
     checks.append(
         AuditCheck(
-            name=f"{label}-min-degree",
+            name="window-min-degree",
             lhs=min_deg,
             rhs=Fraction(9 * m, 10),
             holds=10 * min_deg >= 9 * m,
@@ -407,7 +406,7 @@ def audit_dense_window(
     size_bound = max(Fraction(20 * t, 11), Fraction(t * t, 5))
     checks.append(
         AuditCheck(
-            name=f"{label}-size",
+            name="window-size",
             lhs=m,
             rhs=size_bound,
             holds=Fraction(m) <= size_bound,
@@ -416,7 +415,7 @@ def audit_dense_window(
     )
     checks.append(
         AuditCheck(
-            name=f"{label}-clique-count",
+            name="window-clique-count",
             lhs=window_count,
             rhs=2 ** (5 * t),
             holds=window_count <= 2 ** (5 * t),
@@ -430,7 +429,7 @@ def audit_dense_window(
         if window_count > DEFAULT_NODE_CAP:
             checks.append(
                 AuditCheck(
-                    name=f"{label}-truncation",
+                    name="window-truncation",
                     lhs=0,
                     rhs=Fraction(20 * t, 11),
                     holds=True,
@@ -442,7 +441,7 @@ def audit_dense_window(
             worst = _largest_label_at_depth(bits, depth)
             checks.append(
                 AuditCheck(
-                    name=f"{label}-truncation",
+                    name="window-truncation",
                     lhs=worst,
                     rhs=Fraction(20 * t, 11),
                     holds=11 * worst < 20 * t,
@@ -464,7 +463,7 @@ def audit_dense_window(
             confirmed = witness is not None and verify_witness(g, witness, t)
             checks.append(
                 AuditCheck(
-                    name=f"{label}-oracle",
+                    name="window-oracle",
                     lhs=int(confirmed),
                     rhs=1,
                     holds=confirmed,
@@ -481,12 +480,15 @@ def audit_boundary_cases(skeleton: Skeleton, cfg: AuditConfig, g: Graph):
     Small-label and small-children cases aggregate into two checks over
     all such nodes; each dense window gets its own check group.  The
     small_children case covers boundary nodes whose label is large but
-    whose children all fell below both membership thresholds.
+    whose children all fell below both membership thresholds.  Returns
+    the cases, the checks and the largest hanging-subtree bound M: the
+    largest window tree size, 2^(sqrt(10) t) if any node is a small_label
+    or small_children case, and at least 1.
     """
     t = cfg.t
     cases: list[BoundaryCase] = []
     checks: list[AuditCheck] = []
-    window_tree_sizes: list[int] = []
+    largest_window = 0
     small_label_max = 0
     small_child_max = 0
     have_fallback_nodes = False
@@ -516,7 +518,7 @@ def audit_boundary_cases(skeleton: Skeleton, cfg: AuditConfig, g: Graph):
         window = node.child_vertices[start:]
         # the tree of G[window] is this node's child loop from `start` on
         window_count = 1 + sum(node.child_sizes[start:])
-        window_tree_sizes.append(window_count)
+        largest_window = max(largest_window, window_count)
         cases.append(
             BoundaryCase(
                 node.index,
@@ -570,7 +572,10 @@ def audit_boundary_cases(skeleton: Skeleton, cfg: AuditConfig, g: Graph):
                 "at most 2^(sqrt(10) t) nodes",
             ),
         )
-    return cases, checks, window_tree_sizes, have_fallback_nodes
+        hanging = max(mp.mpf(1), mp.mpf(largest_window))
+        if have_fallback_nodes:
+            hanging = max(hanging, cap)
+    return cases, checks, hanging
 
 
 def audit_total(
@@ -579,22 +584,17 @@ def audit_total(
     hanging_count: int,
     cfg: AuditConfig,
     n: int,
-    window_tree_sizes: list[int],
-    have_fallback_nodes: bool,
+    hanging: object,
 ) -> list[AuditCheck]:
     """The bound through the skeleton, then the headline bound.
 
     The tree is the skeleton plus hanging_count hanging subtrees, each
-    bounded by the largest hanging-subtree bound M.
+    bounded by hanging, the largest hanging-subtree bound M that
+    audit_boundary_cases returns.
     """
     t = cfg.t
     checks = []
     with mp.workdps(AUDIT_DPS):
-        hanging = mp.mpf(1)
-        for size in window_tree_sizes:
-            hanging = max(hanging, mp.mpf(size))
-        if have_fallback_nodes:
-            hanging = max(hanging, _sqrt10t_pow(t))
         rhs = skeleton_size + hanging_count * hanging
         checks.append(
             AuditCheck(
@@ -741,9 +741,7 @@ def audit_graph(g: Graph, cfg: AuditConfig) -> AuditReport:
     skeleton = build_skeleton(g, t, peel)
     count = skeleton.tree_size
     report.checks.extend(audit_skeleton_size(skeleton, t, g.n))
-    cases, checks, window_sizes, have_fallback = audit_boundary_cases(
-        skeleton, cfg, g
-    )
+    cases, checks, hanging = audit_boundary_cases(skeleton, cfg, g)
     report.boundary_cases.extend(cases)
     report.checks.extend(checks)
     report.checks.extend(
@@ -753,8 +751,7 @@ def audit_graph(g: Graph, cfg: AuditConfig) -> AuditReport:
             skeleton.hanging_count,
             cfg,
             g.n,
-            window_sizes,
-            have_fallback,
+            hanging,
         )
     )
     report.checks.append(_degenerate_check(count, d, g.n))

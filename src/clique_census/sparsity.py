@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 from .errors import OracleLimitError
 from .graph import Graph, degeneracy, mask_vertices, rows
-from .tree import _local_graphs
+from .tree import _forward_sets
 
 DEFAULT_EXHAUSTIVE_LIMIT = 22
 
@@ -114,9 +113,9 @@ def check_local_sparsity(
         # and the removed vertex's degree there counts its later neighbours
         p, q = beta.numerator, beta.denominator
         order = degeneracy(g).ordering
-        steps = islice(_local_graphs(g, order), max(0, g.n - threshold + 1))
-        for i, (_, later, _) in enumerate(steps):
-            if len(later) * q > p * (g.n - i):
+        forward = _forward_sets(g, order)
+        for i, v in enumerate(order[:max(0, g.n - threshold + 1)]):
+            if len(forward[v]) * q > p * (g.n - i):
                 return SparsityCertificate(
                     "violated", "peeling", params, frozenset(order[i:])
                 )

@@ -10,11 +10,12 @@ a node is the set of chosen vertices along its root path.
 Every count and walk here splits the graph the same way: order the
 vertices, then give each vertex v the label of its neighbours after it in
 that order. Each clique then lies below exactly one vertex, its first in
-the order, as that vertex plus a clique of G[label]. One producer,
-_local_graphs, makes this split for every caller: it computes each
-vertex's forward set once and yields each label with the bit rows of
-its local graph, set from its members' forward sets; a label that is a
-clique shares one K_k rows tuple and is not relabelled.
+the order, as that vertex plus a clique of G[label]. One helper,
+_forward_sets, makes this split for every caller: it computes each
+vertex's label, its forward set, once. build_tree and the sparsity probe
+read the labels alone; _local_graphs yields each label with the bit rows
+of its local graph, set from its members' forward sets, and a label that
+is a clique shares one K_k rows tuple and is not relabelled.
 
 - The root's choice sequence is exactly the min-degree peeling order of
   degeneracy(g), so under the peel the labels are the root children's:
@@ -157,13 +158,24 @@ def _clique_rows(k: int) -> tuple[int, ...]:
     return tuple(full ^ (1 << i) for i in range(k))
 
 
+def _forward_sets(g: Graph, order) -> list[tuple[int, ...]]:
+    """forward[v]: v's neighbours after v in `order`, sorted, for every
+    vertex v of the order; each edge lies in exactly one of them, at
+    whichever endpoint comes first. O(n + m) time and memory."""
+    forward: list[tuple[int, ...]] = [()] * g.n
+    done = set()
+    for v in order:
+        done.add(v)
+        forward[v] = tuple(sorted(g.adj[v] - done))
+    return forward
+
+
 def _local_graphs(g: Graph, order) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
     """Yield (v, ids, bits) for each vertex v in `order`: ids are v's
-    neighbours after v in the order, sorted, and bits are the rows of
-    G[ids], relabelled in id order as graph.rows(g, ids) gives them.
+    forward set (_forward_sets), and bits are the rows of G[ids],
+    relabelled in id order as graph.rows(g, ids) gives them.
 
-    Each edge lies in exactly one label, at whichever endpoint comes
-    first. An edge of G[ids] joins two later vertices, so it lies in the
+    An edge of G[ids] joins two later vertices, so it lies in the
     forward set of its earlier end: a label's rows are set from its
     members' forward sets, each edge once on both of its bits (Chiba and
     Nishizeki, SIAM J. Comput. 1985). A label with C(k, 2) edges is a
@@ -172,13 +184,7 @@ def _local_graphs(g: Graph, order) -> Iterator[tuple[int, tuple[int, ...], tuple
     O(n + m) memory; the local graphs are streamed, so no list of all n
     of them is ever held.
     """
-    # forward[v]: v's neighbours after it in the order, sorted
-    forward: list[tuple[int, ...]] = [()] * g.n
-    done = set()
-    for v in order:
-        done.add(v)
-        forward[v] = tuple(sorted(g.adj[v] - done))
-    del done
+    forward = _forward_sets(g, order)
     for v in order:
         ids = forward[v]
         k = len(ids)
@@ -232,8 +238,10 @@ def build_tree(g: Graph, node_cap: int = DEFAULT_NODE_CAP) -> CliqueSearchTree:
         return child
 
     bits = rows(g)
-    for v, later, _ in _local_graphs(g, degeneracy(g).ordering):
-        label = sum(1 << u for u in later)
+    order = degeneracy(g).ordering
+    forward = _forward_sets(g, order)
+    for v in order:
+        label = sum(1 << u for u in forward[v])
         top = attach(root, v, label)
         stack: list[tuple[CliqueTreeNode, int]] = [(top, label)]
         while stack:

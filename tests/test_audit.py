@@ -346,9 +346,11 @@ def test_equal_dense_windows_are_audited_once(monkeypatch):
         bits = rows(g, node.child_vertices[start:])
         count = 1 + sum(node.child_sizes[start:])
         keys.add((tuple(bits), count))
-        expected += audit_dense_window(bits, cfg.t, window_count=count,
-                                       assume_subdivision_free=True,
-                                       label=f"window@{node.index}")
+        label = f"window@{node.index}"
+        expected += [AuditCheck(label + c.name.removeprefix("window"), c.lhs, c.rhs,
+                                c.holds, c.anchor, c.note)
+                     for c in audit_dense_window(bits, cfg.t, window_count=count,
+                                                 assume_subdivision_free=True)]
     windows = [c for c in report.boundary_cases if c.case == "dense_window"]
     assert len(windows) == 101 and len(keys) == 4
     assert sorted(calls) == sorted(keys)
