@@ -494,8 +494,10 @@ def audit_boundary_cases(skeleton: Skeleton, cfg: AuditConfig, g: Graph):
     have_fallback_nodes = False
     # the checks of a window, named "window-...": t and the flags are the
     # same for the whole call, so windows with equal rows and clique
-    # counts get equal checks, and each such pair is audited once
+    # counts get equal checks, and each such pair is audited once. The
+    # rows are built once per (vertex set, clique count).
     window_checks: dict[tuple[tuple[int, ...], int], list[AuditCheck]] = {}
+    window_keys: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]] = {}
 
     for node in skeleton.boundary_nodes():
         label_size = node.label_size
@@ -528,7 +530,10 @@ def audit_boundary_cases(skeleton: Skeleton, cfg: AuditConfig, g: Graph):
                 window_tree_size=window_count,
             )
         )
-        key = (tuple(rows(g, window)), window_count)
+        ids = (tuple(sorted(window)), window_count)
+        key = window_keys.get(ids)
+        if key is None:
+            key = window_keys[ids] = (tuple(rows(g, window)), window_count)
         if key not in window_checks:
             window_checks[key] = audit_dense_window(
                 key[0],

@@ -5,9 +5,16 @@ Python ints used as bitmasks over those rows, so any vertex count works.
 The census does not visit each clique. It walks a pivoting tree (Jain and
 Seshadhri, "The Power of Pivoting for Exact Clique Counting", WSDM 2020):
 every leaf stands for a set of h held vertices, which each of its cliques
-contains, and p pivots, which each of its cliques may or may not contain,
-so a leaf counts C(p, k) cliques of size h + k. Counts are exact Python
-ints, so they never overflow.
+contains, p pivots, which each of its cliques may or may not contain,
+and q pairs, of which each clique takes at most one end. So a leaf
+(h, p, q) counts C(p, a) C(q, b) 2^b cliques of size h + a + b. The
+degree scan at each node gives three shortcuts. A candidate set whose
+non-edges form a matching is such a leaf (a clique is the case q = 0).
+Candidates joined to all the others move to the pivots in one step,
+before the pivot is picked. A child of at most one candidate is tallied
+as a leaf without being pushed. On complete_multipartite_222(k), whose
+local graphs are cliques minus a perfect matching, each local graph is
+one leaf. Counts are exact Python ints, so they never overflow.
 
 tree.census runs the kernel on the local graph of each vertex's
 higher-ranked neighbours in (degree, id) order, once per distinct local
@@ -54,20 +61,30 @@ def census_of_subset(bits, start_mask: int) -> list[int]:
     Raises ValueError for a negative mask or one with bits at or above
     len(bits).
 
-    At a candidate set S the pivot u is the candidate with the most
-    neighbours in S (smallest id on ties). One branch keeps u as a pivot and
-    recurses on S & N(u); then each non-neighbour v of u in S, in increasing
-    id order, is held and recurses on S & N(v) minus the non-neighbours
-    before it. Every clique of S lies in exactly one branch. A candidate set
-    that is itself a clique ends its branch with all its vertices as pivots,
-    which is the leaf the pivot chain below it would reach.
+    One scan at a candidate set S takes each candidate's degree in S.
+    Every candidate joined to all of S moves to the pivots at once. Then
+    the pivot u is the remaining candidate with the most neighbours in S
+    (smallest id on ties). One branch keeps u as a pivot and recurses on
+    S & N(u); then each non-neighbour v of u in S, in increasing id order,
+    is held and recurses on S & N(v) minus the non-neighbours before it.
+    Every clique of S lies in exactly one branch.
+
+    A branch ends at a co-matching leaf, when every candidate misses at
+    most one other: the non-edges of S then pair off q candidates, the
+    rest are pivots, and a clique takes any subset of the pivots and at
+    most one end of each pair. A candidate set that is a clique is the
+    case q = 0, and a child of at most one candidate is tallied as one
+    without being pushed. Each shortcut counts the cliques the pivot walk
+    below it would count, so the counts are those of the walk.
     """
     check_mask(len(bits), start_mask)
-    leaves: dict[tuple[int, int], int] = {}  # (held, pivots) -> leaf count
+    leaves: dict[tuple[int, int, int], int] = {}  # (held, pivots, pairs) -> count
     stack = [(start_mask, 0, 0)]
     while stack:
         cand, held, pivots = stack.pop()
         size = cand.bit_count()
+        top = size - 1
+        full = 0  # the candidates joined to all of cand
         best_v = -1
         best_deg = -1
         low_deg = size
@@ -76,27 +93,45 @@ def census_of_subset(bits, start_mask: int) -> list[int]:
             low = m & -m
             v = low.bit_length() - 1
             deg = (bits[v] & cand).bit_count()
-            if deg > best_deg:
-                best_deg = deg
-                best_v = v
-            if deg < low_deg:
-                low_deg = deg
+            if deg == top:
+                full |= low
+            else:
+                if deg > best_deg:
+                    best_deg = deg
+                    best_v = v
+                if deg < low_deg:
+                    low_deg = deg
             m ^= low
-        if low_deg >= size - 1:
-            key = (held, pivots + size)
+        n_full = full.bit_count()
+        if low_deg >= top - 1:
+            key = (held, pivots + n_full, (size - n_full) >> 1)
             leaves[key] = leaves.get(key, 0) + 1
             continue
+        cand ^= full
+        pivots += n_full
         pivot_nbrs = bits[best_v] & cand
-        stack.append((pivot_nbrs, held, pivots + 1))
+        if pivot_nbrs & (pivot_nbrs - 1):
+            stack.append((pivot_nbrs, held, pivots + 1))
+        else:
+            key = (held, pivots + 1 + (pivot_nbrs != 0), 0)
+            leaves[key] = leaves.get(key, 0) + 1
         m = cand ^ pivot_nbrs ^ (1 << best_v)
         rest = cand
         while m:
             low = m & -m
             rest ^= low
-            stack.append((bits[low.bit_length() - 1] & rest, held + 1, pivots))
+            child = bits[low.bit_length() - 1] & rest
+            if child & (child - 1):
+                stack.append((child, held + 1, pivots))
+            else:
+                key = (held + 1, pivots + (child != 0), 0)
+                leaves[key] = leaves.get(key, 0) + 1
             m ^= low
-    counts = [0] * (max(h + p for h, p in leaves) + 1)
-    for (h, p), c in leaves.items():
-        for k in range(p + 1):
-            counts[h + k] += c * comb(p, k)
+    counts = [0] * (max(h + p + q for h, p, q in leaves) + 1)
+    for (h, p, q), c in leaves.items():
+        # a clique takes b of the q pairs, one end each, and a of the p pivots
+        for b in range(q + 1):
+            cb = c * comb(q, b) << b
+            for a in range(p + 1):
+                counts[h + b + a] += cb * comb(p, a)
     return counts
