@@ -34,10 +34,10 @@ clique (possibly empty) and no further: on a clique every degree is
 equal, so the descent picks the smallest id each time, and the subtree's
 preorder is the node's clique plus each subset of the label in
 lexicographic order. Such a node comes out as one block, the enumeration
-twin of the census kernel's clique leaf. A node's child loop stops the
-same way once the candidates it has left form a clique: its remaining
-subtrees are its clique plus each nonempty subset of them, one block
-without its first line. enumerate_cliques expands a block clique by
+twin of the census kernel's co-matching leaf with no pairs. A node's
+child loop stops the same way once the candidates it has left form a
+clique: its remaining subtrees are its clique plus each nonempty subset
+of them, one block without its first line. enumerate_cliques expands a block clique by
 clique, and the CLI builds its text a label id at a time, without
 visiting its cliques (cli._block_pieces). build_tree materializes the
 node structure for inspection, subject to a node cap, and descends on
@@ -337,7 +337,8 @@ def _clique_blocks(g: Graph) -> Iterator[tuple[tuple[int, ...], tuple[int, ...],
 
     - a node whose label is a clique (possibly empty) is the block
       (clique, sorted label, True): the preorder of its subtree. It is
-      never descended into, as the census kernel stops at a clique leaf.
+      never descended into, as the census kernel stops at a co-matching
+      leaf, of which a clique is the case with no pairs.
     - once the candidates R a node has left to branch on form a clique,
       its remaining children and their subtrees are the cliques C + S for
       every nonempty S contained in R, C the node's clique: the block

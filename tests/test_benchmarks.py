@@ -19,6 +19,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "benchmarks"))
 
+import census_kernel  # noqa: E402
 import census_orientation  # noqa: E402
 import common  # noqa: E402
 import enumerate_blocks  # noqa: E402
@@ -39,6 +40,8 @@ SMALL = [
     (enumerate_blocks, "BENCH_enumerate_runs.json",
      {"graph": "complete_multipartite_222(4)", "n": 4},
      {"family": "multipartite", "n": 4, "cliques": 3**4}),
+    (census_kernel, "BENCH_census_kernel.json",
+     {"graph": "complete_multipartite_222(6)", "n": 12}, {"family": "multipartite", "k": 6}),
 ]
 
 
