@@ -1,4 +1,4 @@
-"""Census time on the kernel's hard and easy graphs, before and after a change to the kernel.
+"""Census time on the kernel's hard and easy graphs, before and after a kernel change.
 
     python3 benchmarks/census_kernel.py --parent REV [--out BENCH_census_kernel.json]
 
@@ -64,7 +64,8 @@ def check(case, row, parent):
 
 def main(argv=None) -> int:
     return compare(argv, script=__file__, doc=__doc__, out="BENCH_census_kernel.json",
-                   what="census(g) seconds per graph, parent sources against this checkout's",
+                   what="census(g) seconds on the kernel's hard and easy graphs, parent sources "
+                        "against this checkout's",
                    cases=CASES, child=_CHILD, check=check, repeats=REPEATS)
 
 

@@ -76,11 +76,13 @@ def test_pivot_census_of_complete_graph_is_exact_past_64_bits():
 
 
 def test_pivot_census_of_multipartite_closed_form():
-    # each s-clique picks s of the k parts and one of two vertices in each
-    k = 15
-    result = census(complete_multipartite_222(k), backend="pure")
-    assert list(result.counts) == [comb(k, s) * 2**s for s in range(k + 1)]
-    assert result.total == 3**k
+    # each s-clique picks s of the k parts and one of two vertices in each;
+    # at k = 32 and 64 (n = 64 and 128) every local graph is a clique
+    # minus a perfect matching, one leaf each
+    for k in (15, 32, 64):
+        result = census(complete_multipartite_222(k), backend="pure")
+        assert list(result.counts) == [comb(k, s) * 2**s for s in range(k + 1)]
+        assert result.total == 3**k
 
 
 @pytest.mark.parametrize("n", WORD_EDGE_SIZES)
@@ -185,12 +187,3 @@ def test_census_of_subset_shortcuts_agree_with_brute(g, seed):
     for mask in (g.full_mask(), rng.getrandbits(g.n) if g.n else 0):
         sub, _ = induced_subgraph(g, mask_vertices(mask))
         assert census_of_subset(bits, mask) == brute_census(sub)
-
-
-@pytest.mark.parametrize("k", [32, 64])
-def test_pivot_census_of_multipartite_past_word_edges(k):
-    # 2k = 64 and 128 vertices: every local graph is a clique minus a
-    # perfect matching, one leaf each
-    result = census(complete_multipartite_222(k))
-    assert list(result.counts) == [comb(k, s) * 2**s for s in range(k + 1)]
-    assert result.total == 3**k
