@@ -17,6 +17,7 @@ consistent between a graph and its subgraphs.
 from __future__ import annotations
 
 import heapq
+import re
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -169,19 +170,28 @@ def parse_dimacs(text: str) -> Graph:
     return Graph(n, edges)
 
 
+# a first non-blank line that starts with "c" or has the token "p"; no
+# edge-list line, two integers or a "#" comment, can do either
+_DIMACS_START = re.compile(r"\s*(c|p(\s|$))")
+
+
 def load_graph(path: str) -> Graph:
-    """Read a graph file, choosing the format by extension and content."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if path.endswith(".col"):
+    """Read a graph file: DIMACS if it is named *.col or its first non-blank
+    line is a DIMACS comment or problem line, else the edge-list format.
+
+    Bytes that are not UTF-8 raise GraphParseError on the line of the
+    first bad byte.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        # the bytes before the bad one decode; count lines as the parsers do
+        line_no = len((data[:err.start].decode("utf-8") + "x").splitlines())
+        raise GraphParseError(f"invalid UTF-8 byte {data[err.start]:#04x}", line_no) from None
+    if path.endswith(".col") or _DIMACS_START.match(text):
         return parse_dimacs(text)
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith(("c ", "p ")) or line in ("c", "p"):
-            return parse_dimacs(text)
-        break
     return parse_graph(text)
 
 

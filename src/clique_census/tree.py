@@ -29,21 +29,21 @@ is a clique shares one K_k rows tuple and is not relabelled.
   kernel counts each distinct local graph once, by pivoting, without
   visiting its cliques or materializing nodes.
 
-Enumeration walks the subtrees down to the nodes whose label is a
-clique (possibly empty) and no further: on a clique every degree is
-equal, so the descent picks the smallest id each time, and the subtree's
-preorder is the node's clique plus each subset of the label in
-lexicographic order. Such a node comes out as one block, the enumeration
-twin of the census kernel's co-matching leaf with no pairs. A node's
-child loop stops the same way once the candidates it has left form a
-clique: its remaining subtrees are its clique plus each nonempty subset
-of them, one block without its first line. enumerate_cliques expands a block clique by
-clique, and the CLI builds its text a label id at a time, without
-visiting its cliques (cli._block_pieces). build_tree materializes the
-node structure for inspection, subject to a node cap, and descends on
-the rows of the whole graph, one node per clique, which makes it an
-independent check of the local descents, the blocks and the pivot
-census.
+Enumeration walks the subtrees with one stop rule. Once the candidates
+a node has left to branch on form a clique, the descent picks the
+smallest id each time (on a clique every degree is equal), so the
+node's remaining subtrees hold its clique C plus each nonempty subset S
+of those candidates, C + S in lexicographic order: one block, and no
+descent. A node whose label is a clique (possibly empty) stops at its
+first step and comes out whole, C itself first, the enumeration twin of
+the census kernel's co-matching leaf with no pairs; at a root child the
+shared K_k rows from _local_graphs already say so. enumerate_cliques
+expands a block clique by clique, and the CLI builds its text a label
+id at a time, without visiting its cliques (cli._block_pieces).
+build_tree materializes the node structure for inspection, subject to
+a node cap, and descends on the rows of the whole graph, one node per
+clique, which makes it an independent check of the local descents, the
+blocks and the pivot census.
 """
 
 from __future__ import annotations
@@ -179,8 +179,9 @@ def _local_graphs(g: Graph, order) -> Iterator[tuple[int, tuple[int, ...], tuple
     forward set of its earlier end: a label's rows are set from its
     members' forward sets, each edge once on both of its bits (Chiba and
     Nishizeki, SIAM J. Comput. 1985). A label with C(k, 2) edges is a
-    k-clique and shares one K_k rows tuple, with no relabel; one with no
-    edge gets zero rows. `order` is read twice. The forward sets take
+    k-clique and shares the K_k rows tuple _clique_rows(k), with no
+    relabel, so `bits is _clique_rows(k)` tells a clique label; one with
+    no edge gets zero rows. `order` is read twice. The forward sets take
     O(n + m) memory; the local graphs are streamed, so no list of all n
     of them is ever held.
     """
@@ -311,18 +312,6 @@ def count_cliques(g: Graph) -> int:
     return census(g).total
 
 
-def _is_clique(bits, label: int) -> bool:
-    """Whether the vertices of `label` are pairwise adjacent in the rows
-    `bits`; the scan stops at the first vertex that misses one."""
-    m = label
-    while m:
-        low = m & -m
-        if bits[low.bit_length() - 1] & label != label ^ low:
-            return False
-        m ^= low
-    return True
-
-
 def _clique_blocks(g: Graph) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], bool]]:
     """Yield every clique of g in blocks (chosen, tail, first), in
     depth-first child-creation order, the empty clique first.
@@ -331,20 +320,22 @@ def _clique_blocks(g: Graph) -> Iterator[tuple[tuple[int, ...], tuple[int, ...],
     tail, in lexicographic order with S = () first; when `first` is false
     the block leaves out that first clique, chosen itself. `chosen` holds
     a node's clique as ids in the order they were chosen, and `tail` is a
-    clique of sorted ids joined to all of chosen. Blocks come from two
-    kinds of stop, both because on a clique every degree is equal, so the
-    min-degree descent picks the smallest id each time:
+    clique of sorted ids joined to all of chosen.
 
-    - a node whose label is a clique (possibly empty) is the block
-      (clique, sorted label, True): the preorder of its subtree. It is
-      never descended into, as the census kernel stops at a co-matching
-      leaf, of which a clique is the case with no pairs.
-    - once the candidates R a node has left to branch on form a clique,
-      its remaining children and their subtrees are the cliques C + S for
-      every nonempty S contained in R, C the node's clique: the block
-      (C, sorted R, False), yielded in place of |R| child blocks. R is a
-      clique iff the vertex the descent picks next is joined to all the
-      rest of R, one popcount beside the min-degree scan.
+    Blocks come from one stop. On a clique every degree is equal, so the
+    min-degree descent picks the smallest id each time: once the
+    candidates R a node has left to branch on form a clique, its
+    remaining children and their subtrees are the cliques C + S for every
+    nonempty S contained in R, C the node's clique. The walk yields them
+    as the block (C, sorted R, first), where `first` says that the node's
+    own clique C has not come out yet, and does not descend. R is a
+    clique iff the vertex the descent picks next is joined to all the
+    rest of R, one popcount beside the min-degree scan. A node whose
+    label is a clique therefore comes out whole, as (C, sorted label,
+    True), at its first step, as the census kernel stops at a co-matching
+    leaf, of which a clique is the case with no pairs. A root child's
+    label is not scanned again: _local_graphs has already counted its
+    edges and hands a k-clique label the shared rows _clique_rows(k).
 
     Below each root child the descent runs on the rows of the child's
     local graph, which has at most d vertices, and maps ids back through
@@ -352,30 +343,29 @@ def _clique_blocks(g: Graph) -> Iterator[tuple[tuple[int, ...], tuple[int, ...],
     """
     yield (), (), True
     for v, ids, bits in _local_graphs(g, degeneracy(g).ordering):
-        top = (v,)
-        full = (1 << len(ids)) - 1
-        if _is_clique(bits, full):
-            yield top, ids, True
+        # _clique_rows(k) was just called for this label, so the cache
+        # still holds the same tuple
+        if bits is _clique_rows(len(ids)):
+            yield (v,), ids, True
             continue
-        yield top, (), True
-        # entries are (nonempty label left, clique of the node whose
-        # children it yields); the new child's entry goes on top, so its
-        # subtree comes before its later siblings
-        stack: list[tuple[int, tuple[int, ...]]] = [(full, top)]
+        # entries are (label left, clique of the node whose children it
+        # yields, whether that clique is still to come); the new child's
+        # entry goes on top, so its subtree comes before its later siblings
+        stack: list[tuple[int, tuple[int, ...], bool]] = [((1 << len(ids)) - 1, (v,), True)]
         while stack:
-            remaining, chosen = stack.pop()
+            remaining, chosen, first = stack.pop()
+            if not remaining:
+                yield chosen, (), True
+                continue
             u = min_degree_in(bits, remaining)
             child = remaining & bits[u]
             if child.bit_count() == remaining.bit_count() - 1:
-                yield chosen, tuple(ids[w] for w in mask_vertices(remaining)), False
+                yield chosen, tuple(ids[w] for w in mask_vertices(remaining)), first
                 continue
-            stack.append((remaining ^ (1 << u), chosen))
-            clique = chosen + (ids[u],)
-            if _is_clique(bits, child):
-                yield clique, tuple(ids[w] for w in mask_vertices(child)), True
-            else:
-                yield clique, (), True
-                stack.append((child, clique))
+            if first:
+                yield chosen, (), True
+            stack.append((remaining ^ (1 << u), chosen, False))
+            stack.append((child, chosen + (ids[u],), True))
 
 
 def _block_cliques(chosen: tuple[int, ...], tail: tuple[int, ...],
@@ -408,12 +398,12 @@ def enumerate_cliques(g: Graph) -> Iterator[frozenset[int]]:
     The empty clique comes first, and the order is the preorder of
     build_tree(g). Below each root child the cliques come from the
     search tree of the child's label, relabelled in order, so a step
-    costs time in the local graph's size, not in n. A node whose label is
-    a clique comes as one block, its subtree's cliques in lexicographic
-    order, without descending into it; so do a node's remaining children
-    once the candidates left form a clique, the block then skipping its
-    first clique, the node's own (_clique_blocks). Memory stays
-    proportional to the depth of the tree, not to the clique count.
+    costs time in the local graph's size, not in n. Once the candidates a
+    node has left form a clique, the rest of its subtree comes as one
+    block, its cliques in lexicographic order, without descending into
+    it; a node whose label is a clique comes whole, its own clique first
+    (_clique_blocks). Memory stays proportional to the depth of the tree,
+    not to the clique count.
     """
     for chosen, tail, first in _clique_blocks(g):
         yield from map(frozenset, _block_cliques(chosen, tail, first))

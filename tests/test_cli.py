@@ -383,6 +383,14 @@ def test_parse_error_exit_2(capsys, tmp_path):
     assert "cannot parse input: line 2:" in err
 
 
+def test_input_that_is_not_utf8_exits_2_with_its_line(capsys, tmp_path):
+    f = tmp_path / "bad.txt"
+    f.write_bytes(b"3 2\n0 1\n1 \xff2\n")
+    code, out, err = run(capsys, "count", str(f))
+    assert (code, out) == (2, "")
+    assert "cannot parse input: line 3: invalid UTF-8 byte 0xff" in err
+
+
 def test_oracle_limit_exit_3(capsys):
     code, _, err = run(
         capsys, "check-subdivision", "--construct", "complete:n=17", "--t", "4"

@@ -157,6 +157,51 @@ def test_load_graph_dispatch(tmp_path):
     assert load_graph(str(sniffed)).edges() == [(0, 1)]
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "c\tmade by hand\np edge 3 2\ne 1 2\ne 2 3\n",
+        "p\tedge 3 2\ne 1 2\ne 2 3\n",
+        "comment made by hand\np edge 3 2\ne 1 2\ne 2 3\n",
+        "\n  \t\nc\np edge 3 2\ne 1 2\ne 2 3\n",
+    ],
+)
+def test_load_graph_reads_dimacs_by_its_first_line(tmp_path, text):
+    # the rule parse_dimacs reads lines by: a comment starts with "c", the
+    # problem line has the token "p", whatever whitespace follows
+    f = tmp_path / "g.txt"
+    f.write_text(text)
+    assert load_graph(str(f)) == parse_dimacs(text) == path_power(3, 1)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["# made by hand\n3 2\n0 1\n1 2\n", "#c\n3 2\n0 1\n1 2\n", "\n3\t2\n0 1\n1 2\n"],
+)
+def test_load_graph_reads_edge_lists_opening_with_a_comment(tmp_path, text):
+    f = tmp_path / "g.txt"
+    f.write_text(text)
+    assert load_graph(str(f)) == parse_graph(text) == path_power(3, 1)
+
+
+@pytest.mark.parametrize(
+    "data, line_no",
+    [
+        (b"3 2\n0 1\n1 \xff2\n", 3),
+        (b"\xff", 1),
+        (b"3 2\r\n0 1\r\n\r\n1 2 \xc3\n", 4),
+        (b"c by hand\np edge 3 2\ne 1 2\ne 2 \xe2\x82\n", 4),
+    ],
+)
+def test_load_graph_reports_the_line_of_a_byte_that_is_not_utf8(tmp_path, data, line_no):
+    f = tmp_path / "g.txt"
+    f.write_bytes(data)
+    with pytest.raises(GraphParseError) as info:
+        load_graph(str(f))
+    assert info.value.line_no == line_no
+    assert str(info.value).startswith(f"line {line_no}: invalid UTF-8 byte 0x")
+
+
 @given(graphs())
 def test_serialize_roundtrip(g):
     assert parse_graph(serialize(g)) == g

@@ -115,6 +115,29 @@ def test_multipartite_block_count(k):
 
 
 @given(graphs())
+def test_clique_label_node_is_one_block(g):
+    # a node whose label is a clique comes out whole, never as its own
+    # line followed by a run of its children
+    blocks = list(_clique_blocks(g))
+    for (chosen, tail, first), (after, _, after_first) in zip(blocks, blocks[1:]):
+        assert not (first and not tail and after == chosen and not after_first), chosen
+
+
+def test_disjoint_cliques_are_one_block_per_vertex():
+    # K_1 ... K_70 side by side: every label is a clique, of 70 distinct
+    # sizes (more than _clique_rows caches) up to 69 (more than one word)
+    sizes = range(1, 71)
+    starts = [sum(range(1, i)) for i in sizes]
+    g = Graph(sum(sizes), [(s + a, s + b) for s, i in zip(starts, sizes)
+                           for a in range(i) for b in range(a + 1, i)])
+    expected = [((), (), True)]
+    for s, i in zip(starts, sizes):
+        expected += [((v,), tuple(range(v + 1, s + i)), True) for v in range(s, s + i)]
+    assert list(_clique_blocks(g)) == expected
+    assert len(expected) == 1 + g.n
+
+
+@given(graphs())
 def test_depth_equals_clique_size(g):
     tree = build_tree(g)
     for node in tree.nodes:
