@@ -1,4 +1,5 @@
-"""The layers of the root split at n = 10^5, before and after a change to it.
+"""The layers of the root split at n = 10^4 and 10^5, before and after a
+change to it.
 
     python3 benchmarks/root_split.py --parent REV [--out BENCH_root_split.json]
 
@@ -18,8 +19,10 @@ operation REPEATS times and reports every time, the median, a digest of
 the result and the peak resident size, in the fresh interpreter and
 alternating order of benchmarks/common.py.
 
-Graphs: `path_power(10^5, 6)` and `gnp(10^5, 10/n)` (seed 1, drawn by
-common's `gnp_edges`). The change's digests must equal the parent's.
+Graphs: `path_power(n, 6)` and `gnp(n, 10/n)` (seed 1, drawn by geometric
+skipping over the pairs in common's `gnp_edges`; Batagelj and Brandes,
+"Efficient generation of large random networks", Phys. Rev. E 2005), at
+n = 10^4 and 10^5. The change's digests must equal the parent's.
 
 The script exits 1, after writing the file, if any check fails.
 """
@@ -58,12 +61,12 @@ report({"m": g.edge_count, **figures,
         "digest": hashlib.sha256(repr(res).encode()).hexdigest()[:16]})
 """
 
-N = 100_000
+SIZES = (10_000, 100_000)
 GRAPHS = {"path_power": "path_power({n},6)", "gnp": "gnp({n},10/n)"}
 OPERATIONS = ("degeneracy", "census", "clique_blocks", "audit_t8")
-CASES = [({"graph": name.format(n=N), "operation": op},
-          {"family": family, "n": N, "operation": op})
-         for family, name in GRAPHS.items() for op in OPERATIONS]
+CASES = [({"graph": name.format(n=n), "operation": op},
+          {"family": family, "n": n, "operation": op})
+         for family, name in GRAPHS.items() for n in SIZES for op in OPERATIONS]
 REPEATS = 3
 
 
@@ -73,8 +76,8 @@ def check(case, row, parent):
 
 def main(argv=None) -> int:
     return compare(argv, script=__file__, doc=__doc__, out="BENCH_root_split.json",
-                   what="root-split layers at n = 10^5, parent sources against this "
-                        "checkout's",
+                   what="root-split layers at n = 10^4 and 10^5, parent sources against "
+                        "this checkout's",
                    cases=CASES, child=_CHILD, check=check, repeats=REPEATS)
 
 

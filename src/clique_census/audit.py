@@ -19,6 +19,7 @@ from .errors import ExtractionError
 from . import backend as _backend
 from .graph import DegeneracyResult, Graph, _row_edges, degeneracy, min_degree_in, rows
 from .graph import induced_subgraph  # noqa: F401  unused here; traced by this name
+from .sparsity import _as_fraction
 from .subdivision import (
     DEFAULT_SUBDIVISION_LIMIT,
     elimination_certificate,
@@ -815,12 +816,6 @@ class RefinedExponentsReport:
         }
 
 
-def _coerce_fraction(value, name: str) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError(f"{name} must be an exact rational, not a float")
-    return Fraction(value)
-
-
 def _window_exponent(gamma: float, beta_f: float, zeta_min_f: float) -> float:
     """Per-t clique exponent of one window size, minimized over tactics.
 
@@ -879,8 +874,8 @@ def refined_exponents(alpha, beta, t: int) -> RefinedExponentsReport:
     docs/refined_bounds.md; the truncation depth is re-optimized
     numerically on a grid, as our own instantiation.
     """
-    alpha = _coerce_fraction(alpha, "alpha")
-    beta = _coerce_fraction(beta, "beta")
+    alpha = _as_fraction(alpha)
+    beta = _as_fraction(beta)
     if t < 4:
         raise ValueError("refined exponents need t >= 4")
     if alpha <= 0 or beta <= 0:

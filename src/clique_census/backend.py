@@ -26,8 +26,8 @@ distinct (rows, label) pair.
 
 There is one kernel, named "pure". census keeps a `backend` argument
 that accepts None or "pure" and rejects every other name with
-ValueError (check_backend); available_backends and default_backend
-name the one kernel.
+ValueError; available_backends and default_backend name the one
+kernel.
 """
 
 from __future__ import annotations
@@ -43,12 +43,6 @@ def available_backends() -> tuple[str, ...]:
 
 def default_backend() -> str:
     return "pure"
-
-
-def check_backend(backend: str | None) -> None:
-    """Raise ValueError unless backend names the one kernel; None does."""
-    if backend not in (None, "pure"):
-        raise ValueError(f"unknown backend {backend!r}")
 
 
 def census_of_subset(bits, start_mask: int) -> list[int]:

@@ -33,7 +33,7 @@ from .constructions import (
     spec_from_json,
 )
 from .errors import CliqueCensusError, GraphParseError, OracleLimitError
-from .graph import Graph, load_graph, serialize
+from .graph import Graph, load_graph, read_utf8, serialize
 from .sparsity import (
     DEFAULT_EXHAUSTIVE_LIMIT,
     SparsityParams,
@@ -103,29 +103,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="emit a construction as an edge list")
     add_common(p, graph_input=False)
 
-    p = sub.add_parser(
-        "check-subdivision",
-        help="decide K_t-subdivision containment (treewidth certificate, "
-        "then exhaustive search on small graphs)",
-    )
-    add_common(p)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument(
-        "--oracle-limit",
-        type=int,
-        default=DEFAULT_SUBDIVISION_LIMIT,
-        help=f"max vertices the oracle accepts (default {DEFAULT_SUBDIVISION_LIMIT})",
-    )
-
-    p = sub.add_parser("check-minor", help="search for a K_t-minor (small graphs)")
-    add_common(p)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument(
-        "--oracle-limit",
-        type=int,
-        default=DEFAULT_MINOR_LIMIT,
-        help=f"max vertices the oracle accepts (default {DEFAULT_MINOR_LIMIT})",
-    )
+    for name, what, limit in (
+        ("check-subdivision", "subdivision", DEFAULT_SUBDIVISION_LIMIT),
+        ("check-minor", "minor", DEFAULT_MINOR_LIMIT),
+    ):
+        p = sub.add_parser(
+            name,
+            help=f"decide K_t-{what} containment (treewidth certificate, "
+            "then exhaustive search on small graphs)",
+        )
+        add_common(p)
+        p.add_argument("--t", type=int, required=True)
+        p.add_argument(
+            "--oracle-limit",
+            type=int,
+            default=limit,
+            help=f"max vertices the oracle accepts (default {limit})",
+        )
 
     p = sub.add_parser("sparse-check", help="test (beta, N)-local sparsity")
     add_common(p)
@@ -192,8 +186,7 @@ def _resolve_graph(args) -> Graph:
 def _resolve_spec(args):
     text = args.construct
     if os.path.isfile(text):
-        with open(text, "r", encoding="utf-8") as fh:
-            spec = spec_from_json(fh.read())
+        spec = spec_from_json(read_utf8(text))
     else:
         spec = parse_construction_spec(text)
     if args.seed is not None:
@@ -412,41 +405,38 @@ def _cmd_generate(args) -> _Report:
     )
 
 
-def _check_oracle_limit(args) -> None:
-    """Reject a negative --oracle-limit before the certificate can answer
-    without the oracle that checks it."""
+def _cmd_check(args, oracle, render) -> _Report:
+    """Decide K_t-subdivision or K_t-minor containment.
+
+    Elimination width <= t-2 bounds the treewidth, which a K_t minor, and
+    so a K_t-subdivision, would force up to t-1: the certificate answers
+    "none" at any size. Otherwise the exhaustive oracle decides, limited
+    to --oracle-limit vertices, and render(witness) gives the witness's
+    JSON and its text lines.
+    """
+    # a usage error even where the certificate would answer without the
+    # oracle the limit is for
     if args.oracle_limit < 0:
         raise _UsageError("oracle_limit must be non-negative")
-
-
-def _cmd_check_subdivision(args) -> _Report:
-    _check_oracle_limit(args)
     g = _resolve_graph(args)
-    # the certificate answers "none" at any size; the oracle is exhaustive
-    if elimination_certificate(g, args.t):
-        return _Report({"witness": None}, "none")
-    witness = has_subdivision(g, args.t, oracle_limit=args.oracle_limit)
+    witness = None
+    if not elimination_certificate(g, args.t):
+        witness = oracle(g, args.t, oracle_limit=args.oracle_limit)
     if witness is None:
         return _Report({"witness": None}, "none")
+    payload, lines = render(witness)
+    return _Report({"witness": payload}, "\n".join(lines))
+
+
+def _subdivision_witness(witness):
     lines = ["branch: " + " ".join(map(str, witness.branch))]
-    for path in witness.paths:
-        lines.append(f"path {path[0]} {path[-1]}: " + " ".join(map(str, path)))
-    return _Report({"witness": witness.to_json()}, "\n".join(lines))
+    lines += [f"path {p[0]} {p[-1]}: " + " ".join(map(str, p)) for p in witness.paths]
+    return witness.to_json(), lines
 
 
-def _cmd_check_minor(args) -> _Report:
-    _check_oracle_limit(args)
-    g = _resolve_graph(args)
-    # elimination width <= t-2 bounds the treewidth, which a K_t minor
-    # would force up to t-1; the brute-force search is size-limited
-    if elimination_certificate(g, args.t):
-        return _Report({"witness": None}, "none")
-    witness = has_minor(g, args.t, oracle_limit=args.oracle_limit)
-    if witness is None:
-        return _Report({"witness": None}, "none")
+def _minor_witness(witness):
     parts = [sorted(part) for part in witness]
-    lines = [f"branch {i}: " + " ".join(map(str, part)) for i, part in enumerate(parts)]
-    return _Report({"witness": parts}, "\n".join(lines))
+    return parts, [f"branch {i}: " + " ".join(map(str, part)) for i, part in enumerate(parts)]
 
 
 def _cmd_sparse_check(args) -> _Report:
@@ -570,8 +560,10 @@ _DISPATCH = {
     "count": _cmd_count,
     "census": _cmd_census,
     "generate": _cmd_generate,
-    "check-subdivision": _cmd_check_subdivision,
-    "check-minor": _cmd_check_minor,
+    "check-subdivision": functools.partial(
+        _cmd_check, oracle=has_subdivision, render=_subdivision_witness
+    ),
+    "check-minor": functools.partial(_cmd_check, oracle=has_minor, render=_minor_witness),
     "sparse-check": _cmd_sparse_check,
     "audit": _cmd_audit,
     "bounds": _cmd_bounds,

@@ -144,15 +144,20 @@ def parse_construction_spec(text: str) -> ConstructionSpec:
 
 
 def spec_from_json(data) -> ConstructionSpec:
+    """The spec of a JSON object {family, params, seed}, or of its text."""
     if isinstance(data, str):
         data = json.loads(data)
-    family = data["family"]
+    if not isinstance(data, dict):
+        raise ValueError("a construction spec must be a JSON object")
+    if "family" not in data:
+        raise ValueError('a construction spec needs a "family"')
+    family, params = data["family"], data.get("params", {})
     if family not in FAMILIES:
         raise ValueError(f"unknown construction family {family!r}")
-    params = {
-        key: (_parse_value(value) if isinstance(value, str) else value)
-        for key, value in data.get("params", {}).items()
-    }
+    if not isinstance(params, dict):
+        raise ValueError('construction "params" must be a JSON object')
+    params = {key: (_parse_value(value) if isinstance(value, str) else value)
+              for key, value in params.items()}
     seed = data.get("seed")
     return ConstructionSpec(family, params, None if seed is None else int(seed))
 
@@ -166,19 +171,29 @@ def _param(spec: ConstructionSpec, key: str):
         ) from None
 
 
+def _int_param(spec: ConstructionSpec, key: str) -> int:
+    """The parameter as an int; a value that is not a whole number raises
+    ValueError instead of being truncated."""
+    value = _param(spec, key)
+    # a bool is an int, but not a count; inf and nan leave a nan remainder
+    if not (type(value) is int or isinstance(value, (float, Fraction)) and value % 1 == 0):
+        raise ValueError(f"construction {spec.family} needs an integer {key}, got {value}")
+    return int(value)
+
+
 def generate(spec: ConstructionSpec) -> Graph:
     family = spec.family
     if family == "path_power":
-        return path_power(int(_param(spec, "n")), int(_param(spec, "k")))
+        return path_power(_int_param(spec, "n"), _int_param(spec, "k"))
     if family == "complete_multipartite":
-        return complete_multipartite_222(int(_param(spec, "k")))
+        return complete_multipartite_222(_int_param(spec, "k"))
     if family == "complete":
-        return complete(int(_param(spec, "n")))
+        return complete(_int_param(spec, "n"))
     if family == "cycle":
-        return cycle(int(_param(spec, "n")))
+        return cycle(_int_param(spec, "n"))
     if family == "random_gnp":
         seed = 0 if spec.seed is None else spec.seed
-        return random_gnp(int(_param(spec, "n")), _param(spec, "p"), seed)
+        return random_gnp(_int_param(spec, "n"), _param(spec, "p"), seed)
     if family == "petersen":
         return petersen()
     raise ValueError(f"unknown construction family {family!r}")
@@ -188,17 +203,17 @@ def predicted_clique_count(spec: ConstructionSpec):
     """Exact closed-form clique count, or None when the family has none."""
     family = spec.family
     if family == "path_power":
-        n = int(_param(spec, "n"))
-        k = int(_param(spec, "k"))
+        n = _int_param(spec, "n")
+        k = _int_param(spec, "k")
         if n < k + 1:
             return 2**n
         return 2**k * (n - k + 1)
     if family == "complete_multipartite":
-        return 3 ** int(_param(spec, "k"))
+        return 3 ** _int_param(spec, "k")
     if family == "complete":
-        return 2 ** int(_param(spec, "n"))
+        return 2 ** _int_param(spec, "n")
     if family == "cycle":
-        n = int(_param(spec, "n"))
+        n = _int_param(spec, "n")
         return 8 if n == 3 else 2 * n + 1
     if family == "petersen":
         # triangle-free: the empty set, 10 vertices, 15 edges

@@ -175,21 +175,26 @@ def parse_dimacs(text: str) -> Graph:
 _DIMACS_START = re.compile(r"\s*(c|p(\s|$))")
 
 
-def load_graph(path: str) -> Graph:
-    """Read a graph file: DIMACS if it is named *.col or its first non-blank
-    line is a DIMACS comment or problem line, else the edge-list format.
-
-    Bytes that are not UTF-8 raise GraphParseError on the line of the
-    first bad byte.
-    """
+def read_utf8(path: str) -> str:
+    """The file's text. Bytes that are not UTF-8 raise GraphParseError on
+    the line of the first bad byte."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as err:
         # the bytes before the bad one decode; count lines as the parsers do
         line_no = len((data[:err.start].decode("utf-8") + "x").splitlines())
         raise GraphParseError(f"invalid UTF-8 byte {data[err.start]:#04x}", line_no) from None
+
+
+def load_graph(path: str) -> Graph:
+    """Read a graph file: DIMACS if it is named *.col or its first non-blank
+    line is a DIMACS comment or problem line, else the edge-list format.
+
+    Bytes that are not UTF-8 raise GraphParseError (read_utf8).
+    """
+    text = read_utf8(path)
     if path.endswith(".col") or _DIMACS_START.match(text):
         return parse_dimacs(text)
     return parse_graph(text)

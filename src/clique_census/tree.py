@@ -293,7 +293,8 @@ def census(g: Graph, threads: int = 1, backend: str | None = None) -> CliqueCens
     `threads` is accepted and has no effect. `backend` may be None or
     "pure", the one kernel; any other value raises ValueError.
     """
-    _backend.check_backend(backend)
+    if backend not in (None, "pure"):
+        raise ValueError(f"unknown backend {backend!r}")
     # sorted is stable, so equal degrees keep increasing id order
     by_degree = sorted(range(g.n), key=lambda v: len(g.adj[v]))
     local_graphs = Counter(bits for _, _, bits in _local_graphs(g, by_degree))

@@ -20,20 +20,16 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "benchmarks"))
 
 import census_kernel  # noqa: E402
-import census_orientation  # noqa: E402
 import common  # noqa: E402
 import enumerate_blocks  # noqa: E402
 import root_split  # noqa: E402
 
 # (script, committed file, row fields, case)
 SMALL = [
-    (census_orientation, "BENCH_census_orientation.json",
-     {"graph": "path_power(300,6)", "n": 300}, {"family": "path_power", "n": 300}),
-    (census_orientation, "BENCH_census_orientation.json",
-     {"graph": "gnp(300,10/n)", "n": 300}, {"family": "gnp", "n": 300}),
     *[(root_split, "BENCH_root_split.json",
-       {"graph": "gnp(300,10/n)", "operation": op},
-       {"family": "gnp", "n": 300, "operation": op}) for op in root_split.OPERATIONS],
+       {"graph": root_split.GRAPHS[family].format(n=300), "operation": op},
+       {"family": family, "n": 300, "operation": op})
+      for family in ("gnp", "path_power") for op in root_split.OPERATIONS],
     (enumerate_blocks, "BENCH_enumerate_runs.json",
      {"graph": "path_power(300,6)", "n": 300},
      {"family": "path_power", "n": 300, "cliques": 2**6 * (300 - 5)}),
@@ -70,7 +66,7 @@ def test_compare_writes_a_report(tmp_path):
     code = common.compare(["--parent", "HEAD", "--out", str(out)],
                           script=root_split.__file__, doc=root_split.__doc__,
                           out="unused.json", what="small root split",
-                          cases=[(fields, case) for _, _, fields, case in SMALL[2:4]],
+                          cases=[(fields, case) for _, _, fields, case in SMALL[:2]],
                           child=root_split._CHILD, check=root_split.check, repeats=1)
     report = json.loads(out.read_text(encoding="utf-8"))
     assert code == 0 and report["checks_passed"]

@@ -391,35 +391,83 @@ def test_input_that_is_not_utf8_exits_2_with_its_line(capsys, tmp_path):
     assert "cannot parse input: line 3: invalid UTF-8 byte 0xff" in err
 
 
+@pytest.mark.parametrize("content, message", [
+    (b'{"params": {"n": 5}}', 'a construction spec needs a "family"'),
+    (b'{"family": "complete", "params": 5}', 'construction "params" must be a JSON object'),
+    (b"[1, 2]", "a construction spec must be a JSON object"),
+    (b'{"family": "complete",\n "params": {"n": \xff}}',
+     "cannot parse input: line 2: invalid UTF-8 byte 0xff"),
+    (b'{"family": "complete", "params": {"n": 4.7}}',
+     "construction complete needs an integer n, got 4.7"),
+], ids=["no family", "params not an object", "not an object", "not UTF-8", "float n"])
+def test_bad_spec_file_exits_2(capsys, tmp_path, content, message):
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(content)
+    assert run(capsys, "count", "--construct", str(spec)) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("complete:n=5/2", "construction complete needs an integer n, got 5/2"),
+    ("path_power:n=7/2,k=1", "construction path_power needs an integer n, got 7/2"),
+    ("cycle:n=4.5", "construction cycle needs an integer n, got 9/2"),
+])
+def test_construction_parameter_not_an_integer_exits_2(capsys, spec, message):
+    for command in ("count", "generate"):
+        assert run(capsys, command, "--construct", spec) == (2, "", f"error: {message}\n")
+
+
 def test_oracle_limit_exit_3(capsys):
-    code, _, err = run(
-        capsys, "check-subdivision", "--construct", "complete:n=17", "--t", "4"
-    )
-    assert code == 3
-    assert "limited to" in err
-    code, _, _ = run(
-        capsys,
-        "check-subdivision",
-        "--construct",
-        "complete:n=17",
-        "--t",
-        "4",
-        "--oracle-limit",
-        "17",
+    for command in ("check-subdivision", "check-minor"):
+        code, _, err = run(
+            capsys, command, "--construct", "complete:n=17", "--t", "4"
+        )
+        assert code == 3
+        assert "limited to" in err
+        code, _, _ = run(
+            capsys,
+            command,
+            "--construct",
+            "complete:n=17",
+            "--t",
+            "4",
+            "--oracle-limit",
+            "17",
+        )
+        assert code == 0
+        # above the limit, the elimination certificate answers when it holds
+        code, out, _ = run(
+            capsys, command, "--construct", "path_power:n=2000,k=2",
+            "--t", "4",
+        )
+        assert (code, out) == (0, "none\n")
+        code, out, _ = run(
+            capsys, command, "--construct", "path_power:n=2000,k=2",
+            "--t", "4", "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["witness"] is None
+
+
+def test_containment_default_limits_stay_apart(capsys):
+    # K_15 fits the subdivision oracle's default of 16 vertices, not the
+    # minor oracle's 14
+    code, out, _ = run(
+        capsys, "check-subdivision", "--construct", "complete:n=15", "--t", "4"
     )
     assert code == 0
-    # above the limit, the elimination certificate answers when it holds
-    code, out, _ = run(
-        capsys, "check-subdivision", "--construct", "path_power:n=2000,k=2",
-        "--t", "4",
+    assert out.startswith("branch: 0 1 2 3\npath 0 1: 0 1\n")
+    code, out, err = run(
+        capsys, "check-minor", "--construct", "complete:n=15", "--t", "4"
     )
-    assert (code, out) == (0, "none\n")
-    code, out, _ = run(
-        capsys, "check-subdivision", "--construct", "path_power:n=2000,k=2",
-        "--t", "4", "--format", "json",
-    )
-    assert code == 0
-    assert json.loads(out)["witness"] is None
+    assert (code, out) == (3, "")
+    assert err == "error: minor search limited to 14 vertices, got 15\n"
+    for command, limit in (("check-subdivision", 16), ("check-minor", 14)):
+        code, out, _ = run(
+            capsys, command, "--construct", "complete:n=6", "--t", "4",
+            "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["config"]["oracle_limit"] == limit
 
 
 @pytest.mark.parametrize("command", ["check-subdivision", "check-minor"])

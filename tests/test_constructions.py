@@ -153,6 +153,38 @@ def test_gnp_threshold_is_exact_at_the_boundary(monkeypatch, p):
     assert random_gnp(n, p).edges() == expected
 
 
+@pytest.mark.parametrize("s, message", [
+    (spec("complete", n=Fraction(5, 2)), "construction complete needs an integer n, got 5/2"),
+    (spec("cycle", n=4.7), "construction cycle needs an integer n, got 4.7"),
+    (spec("cycle", n=True), "construction cycle needs an integer n, got True"),
+    (spec("path_power", n=Fraction(7, 2), k=1),
+     "construction path_power needs an integer n, got 7/2"),
+    (spec("path_power", n=7, k=Fraction(1, 2)),
+     "construction path_power needs an integer k, got 1/2"),
+    (spec("complete_multipartite", k=2.5),
+     "construction complete_multipartite needs an integer k, got 2.5"),
+    (spec("random_gnp", n=Fraction(9, 2), p=Fraction(1, 2)),
+     "construction random_gnp needs an integer n, got 9/2"),
+])
+def test_integer_parameter_is_not_truncated(s, message):
+    with pytest.raises(ValueError) as err:
+        generate(s)
+    assert str(err.value) == message
+    if s.family != "random_gnp":  # the only family without a closed form
+        with pytest.raises(ValueError) as err:
+            predicted_clique_count(s)
+        assert str(err.value) == message
+
+
+def test_whole_number_parameters_are_integers():
+    # 10/2 from the inline form, 5.0 from a JSON file
+    for value in (Fraction(10, 2), 5.0, 5):
+        s = spec("complete", n=value)
+        assert generate(s) == complete(5)
+        assert predicted_clique_count(s) == 2**5
+    assert generate(parse_construction_spec("cycle:n=12/2")) == cycle(6)
+
+
 def test_parse_inline_spec():
     s = parse_construction_spec("path_power:n=30,k=2")
     assert s.family == "path_power"
@@ -183,6 +215,20 @@ def test_spec_json_roundtrip():
     )
     with pytest.raises(ValueError):
         spec_from_json({"family": "nope", "params": {}})
+
+
+@pytest.mark.parametrize("data, message", [
+    ([1, 2], "a construction spec must be a JSON object"),
+    ("5", "a construction spec must be a JSON object"),
+    ({"params": {"n": 5}}, 'a construction spec needs a "family"'),
+    ({"family": "complete", "params": 5}, 'construction "params" must be a JSON object'),
+    ({"family": "complete", "params": None}, 'construction "params" must be a JSON object'),
+    ({"family": "complete", "params": [5]}, 'construction "params" must be a JSON object'),
+])
+def test_spec_json_shape_errors(data, message):
+    with pytest.raises(ValueError) as err:
+        spec_from_json(data)
+    assert str(err.value) == message
 
 
 def test_generated_graphs_match_predictions_via_brute():
