@@ -83,7 +83,8 @@ class AuditConfig:
 
 @dataclass
 class AuditCheck:
-    """One audited inequality: lhs <= rhs (or < rhs where noted)."""
+    """One audited inequality: lhs <= rhs (or < rhs where noted), save
+    the window-min-degree and window-oracle checks, lhs >= rhs."""
 
     name: str
     lhs: object
@@ -94,10 +95,14 @@ class AuditCheck:
 
     @property
     def margin(self):
+        """|rhs - lhs|, negated when the check fails: a check of the form
+        lhs >= rhs holds with a positive margin too."""
         with mp.workdps(AUDIT_DPS):
             if isinstance(self.lhs, int) and isinstance(self.rhs, (int, Fraction)):
-                return self.rhs - self.lhs
-            return _to_mpf(self.rhs) - _to_mpf(self.lhs)
+                gap = abs(self.rhs - self.lhs)
+            else:
+                gap = abs(_to_mpf(self.rhs) - _to_mpf(self.lhs))
+            return gap if self.holds else -gap
 
     def to_json(self) -> dict:
         out = {

@@ -17,16 +17,6 @@ from math import ceil, log2
 
 from .graph import Graph
 
-FAMILIES = (
-    "path_power",
-    "complete_multipartite",
-    "complete",
-    "cycle",
-    "random_gnp",
-    "petersen",
-)
-
-
 def path_power(n: int, k: int) -> Graph:
     """k-th power of the path on vertices 0..n-1: edge iff 0 < |i-j| <= k."""
     if n < 1:
@@ -94,6 +84,31 @@ def petersen() -> Graph:
     return Graph(10, edges)
 
 
+def _path_power_count(n: int, k: int) -> int:
+    return 2**n if n < k + 1 else 2**k * (n - k + 1)
+
+
+# family -> (builder, its integer parameters in order, closed-form clique
+# count of those parameters or None); random_gnp also takes p and the seed
+FAMILIES = {
+    "path_power": (path_power, ("n", "k"), _path_power_count),
+    "complete_multipartite": (complete_multipartite_222, ("k",), lambda k: 3**k),
+    "complete": (complete, ("n",), lambda n: 2**n),
+    "cycle": (cycle, ("n",), lambda n: 8 if n == 3 else 2 * n + 1),
+    "random_gnp": (random_gnp, ("n",), None),
+    # triangle-free: the empty set, 10 vertices, 15 edges
+    "petersen": (petersen, (), lambda: 26),
+}
+
+
+def _family(name):
+    """The FAMILIES entry of name; any other name raises ValueError."""
+    # a JSON spec's family may be a list, which no dict lookup takes
+    if not isinstance(name, str) or name not in FAMILIES:
+        raise ValueError(f"unknown construction family {name!r}")
+    return FAMILIES[name]
+
+
 @dataclass
 class ConstructionSpec:
     """A named family plus its parameters; seed applies to random_gnp only."""
@@ -126,8 +141,7 @@ def parse_construction_spec(text: str) -> ConstructionSpec:
     """Parse the inline form family:key=val,key=val or a bare family name."""
     family, _, tail = text.partition(":")
     family = family.strip()
-    if family not in FAMILIES:
-        raise ValueError(f"unknown construction family {family!r}")
+    _family(family)
     params = {}
     seed = None
     if tail:
@@ -137,7 +151,7 @@ def parse_construction_spec(text: str) -> ConstructionSpec:
                 raise ValueError(f"bad construction parameter {item!r}")
             key = key.strip()
             if key == "seed":
-                seed = int(value)
+                seed = _whole(family, key, _parse_value(value.strip()))
             else:
                 params[key] = _parse_value(value.strip())
     return ConstructionSpec(family, params, seed)
@@ -152,14 +166,15 @@ def spec_from_json(data) -> ConstructionSpec:
     if "family" not in data:
         raise ValueError('a construction spec needs a "family"')
     family, params = data["family"], data.get("params", {})
-    if family not in FAMILIES:
-        raise ValueError(f"unknown construction family {family!r}")
+    _family(family)
     if not isinstance(params, dict):
         raise ValueError('construction "params" must be a JSON object')
     params = {key: (_parse_value(value) if isinstance(value, str) else value)
               for key, value in params.items()}
     seed = data.get("seed")
-    return ConstructionSpec(family, params, None if seed is None else int(seed))
+    if seed is not None:
+        seed = _whole(family, "seed", _parse_value(seed) if isinstance(seed, str) else seed)
+    return ConstructionSpec(family, params, seed)
 
 
 def _param(spec: ConstructionSpec, key: str):
@@ -171,54 +186,33 @@ def _param(spec: ConstructionSpec, key: str):
         ) from None
 
 
-def _int_param(spec: ConstructionSpec, key: str) -> int:
-    """The parameter as an int; a value that is not a whole number raises
+def _whole(family: str, key: str, value) -> int:
+    """The value as an int; a value that is not a whole number raises
     ValueError instead of being truncated."""
-    value = _param(spec, key)
     # a bool is an int, but not a count; inf and nan leave a nan remainder
     if not (type(value) is int or isinstance(value, (float, Fraction)) and value % 1 == 0):
-        raise ValueError(f"construction {spec.family} needs an integer {key}, got {value}")
+        raise ValueError(f"construction {family} needs an integer {key}, got {value}")
     return int(value)
 
 
+def _int_param(spec: ConstructionSpec, key: str) -> int:
+    return _whole(spec.family, key, _param(spec, key))
+
+
 def generate(spec: ConstructionSpec) -> Graph:
-    family = spec.family
-    if family == "path_power":
-        return path_power(_int_param(spec, "n"), _int_param(spec, "k"))
-    if family == "complete_multipartite":
-        return complete_multipartite_222(_int_param(spec, "k"))
-    if family == "complete":
-        return complete(_int_param(spec, "n"))
-    if family == "cycle":
-        return cycle(_int_param(spec, "n"))
-    if family == "random_gnp":
-        seed = 0 if spec.seed is None else spec.seed
-        return random_gnp(_int_param(spec, "n"), _param(spec, "p"), seed)
-    if family == "petersen":
-        return petersen()
-    raise ValueError(f"unknown construction family {family!r}")
+    build, keys, _ = _family(spec.family)
+    args = [_int_param(spec, key) for key in keys]
+    if spec.family == "random_gnp":
+        args += [_param(spec, "p"), 0 if spec.seed is None else spec.seed]
+    return build(*args)
 
 
 def predicted_clique_count(spec: ConstructionSpec):
     """Exact closed-form clique count, or None when the family has none."""
-    family = spec.family
-    if family == "path_power":
-        n = _int_param(spec, "n")
-        k = _int_param(spec, "k")
-        if n < k + 1:
-            return 2**n
-        return 2**k * (n - k + 1)
-    if family == "complete_multipartite":
-        return 3 ** _int_param(spec, "k")
-    if family == "complete":
-        return 2 ** _int_param(spec, "n")
-    if family == "cycle":
-        n = _int_param(spec, "n")
-        return 8 if n == 3 else 2 * n + 1
-    if family == "petersen":
-        # triangle-free: the empty set, 10 vertices, 15 edges
-        return 26
-    return None
+    _, keys, count = FAMILIES.get(spec.family, (None, (), None))
+    if count is None:
+        return None
+    return count(*(_int_param(spec, key) for key in keys))
 
 
 @dataclass(frozen=True)

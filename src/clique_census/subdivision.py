@@ -6,10 +6,11 @@ K_t minor and so a K_t-subdivision.  The exact oracles are desk-scale
 searches only.  The subdivision test backtracks over branch
 vertex choices and internally disjoint path assignments; the minor test
 searches for pairwise adjacent families of connected branch sets.  Both
-refuse graphs above an explicit size limit instead of silently running
-for hours.  The dense extraction routine follows the constructive
-averaging argument: locate a t-subset whose edge deficit is below m/4,
-then patch each missing edge with a fresh common neighbor.
+answer t <= 2 on a graph of any size, since such a model is K_t itself;
+from t = 3 both refuse graphs above an explicit size limit instead of
+silently running for hours.  The dense extraction routine follows the
+constructive averaging argument: locate a t-subset whose edge deficit is
+below m/4, then patch each missing edge with a fresh common neighbor.
 """
 
 from __future__ import annotations
@@ -233,6 +234,51 @@ def elimination_certificate(
     return True
 
 
+def _exhaustive(g: Graph, t: int, oracle_limit: int, what: str, wrap, search):
+    """The opening both exhaustive oracles share, then the oracle's search.
+
+    A negative t or oracle_limit raises ValueError.  A K_t-subdivision
+    or K_t minor of order t <= 2 is K_t itself, so t <= 2 is decided on
+    a graph of any size; from t = 3 a graph above oracle_limit vertices
+    raises OracleLimitError naming the `what` search.  A K_t, as an
+    ascending vertex tuple, goes to `wrap`; when the vertices of degree
+    at least t-1 hold none, `search(bits, candidates, t)` decides.
+    """
+    if t < 0:
+        raise ValueError("t must be non-negative")
+    if oracle_limit < 0:
+        raise ValueError("oracle_limit must be non-negative")
+    if t <= 2:
+        if t == 2:
+            clique = next(
+                ((u, min(g.adj[u])) for u in range(g.n) if g.adj[u]), None
+            )
+        else:
+            clique = tuple(range(t)) if g.n >= t else None
+        return None if clique is None else wrap(clique)
+    if g.n > oracle_limit:
+        raise OracleLimitError(
+            f"{what} search limited to {oracle_limit} vertices, got {g.n}"
+        )
+    if g.n < t:
+        return None
+    bits = rows(g)
+    candidates = [v for v in range(g.n) if len(g.adj[v]) >= t - 1]
+    clique = _find_clique(bits, candidates, t)
+    if clique is not None:
+        return wrap(clique)
+    return search(bits, candidates, t)
+
+
+def _route_branches(bits, candidates: list[int], t: int):
+    """First branch set among the candidates that _route realizes."""
+    for branch in combinations(candidates, t):
+        witness = _route(bits, branch)
+        if witness is not None:
+            return witness
+    return None
+
+
 def has_subdivision(
     g: Graph, t: int, oracle_limit: int = DEFAULT_SUBDIVISION_LIMIT
 ):
@@ -242,40 +288,11 @@ def has_subdivision(
     graph must fit under oracle_limit.  Raises ValueError for a negative
     t or oracle_limit.
     """
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    if oracle_limit < 0:
-        raise ValueError("oracle_limit must be non-negative")
-    if t == 0:
-        return SubdivisionWitness((), ())
-    if t == 1:
-        return SubdivisionWitness((0,), ()) if g.n >= 1 else None
-    if t == 2:
-        for u in range(g.n):
-            if g.adj[u]:
-                v = min(g.adj[u])
-                return SubdivisionWitness((u, v), ((u, v),))
-        return None
-    if g.n > oracle_limit:
-        raise OracleLimitError(
-            f"subdivision search limited to {oracle_limit} vertices, got {g.n}"
-        )
-    if g.n < t:
-        return None
-    candidates = [v for v in range(g.n) if len(g.adj[v]) >= t - 1]
-    if len(candidates) < t:
-        return None
-    bits = rows(g)
-    clique = _find_clique(bits, candidates, t)
-    if clique is not None:
-        return SubdivisionWitness(
-            clique, tuple(combinations(clique, 2))
-        )
-    for branch in combinations(candidates, t):
-        witness = _route(bits, branch)
-        if witness is not None:
-            return witness
-    return None
+    return _exhaustive(
+        g, t, oracle_limit, "subdivision",
+        lambda clique: SubdivisionWitness(clique, tuple(combinations(clique, 2))),
+        _route_branches,
+    )
 
 
 def _connected_subsets(bits) -> list[int]:
@@ -300,38 +317,13 @@ def _connected_subsets(bits) -> list[int]:
     return out
 
 
-def has_minor(g: Graph, t: int, oracle_limit: int = DEFAULT_MINOR_LIMIT):
-    """Brute-force K_t-minor search; a tuple of branch sets or None.
+def _minor_model(bits, candidates: list[int], t: int):
+    """First family of t pairwise adjacent disjoint connected vertex sets
+    of the graph whose adjacency rows are `bits`, as vertex sets.
 
-    Branch sets are disjoint, each induces a connected subgraph, and
-    every pair is joined by at least one edge.  Raises ValueError for a
-    negative t or oracle_limit.
+    candidates goes unused: a branch set of several vertices may hold
+    vertices of any degree.
     """
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    if oracle_limit < 0:
-        raise ValueError("oracle_limit must be non-negative")
-    if g.n > oracle_limit:
-        raise OracleLimitError(
-            f"minor search limited to {oracle_limit} vertices, got {g.n}"
-        )
-    if t == 0:
-        return ()
-    if t == 1:
-        return (frozenset({0}),) if g.n >= 1 else None
-    if g.n < t:
-        return None
-    if t == 2:
-        for u in range(g.n):
-            if g.adj[u]:
-                return (frozenset({u}), frozenset({min(g.adj[u])}))
-        return None
-    bits = rows(g)
-    candidates = [v for v in range(g.n) if len(g.adj[v]) >= t - 1]
-    clique = _find_clique(bits, candidates, t)
-    if clique is not None:
-        return tuple(frozenset({v}) for v in clique)
-
     sets = _connected_subsets(bits)
     sets.sort(key=lambda m: (m.bit_count(), m & -m, m))
     nbr = {}
@@ -363,7 +355,23 @@ def has_minor(g: Graph, t: int, oracle_limit: int = DEFAULT_MINOR_LIMIT):
     if model is None:
         return None
     return tuple(
-        frozenset(v for v in range(g.n) if (mask >> v) & 1) for mask in model
+        frozenset(v for v in range(len(bits)) if (mask >> v) & 1)
+        for mask in model
+    )
+
+
+def has_minor(g: Graph, t: int, oracle_limit: int = DEFAULT_MINOR_LIMIT):
+    """Brute-force K_t-minor search; a tuple of branch sets or None.
+
+    Branch sets are disjoint, each induces a connected subgraph, and
+    every pair is joined by at least one edge.  t <= 2 is decided
+    directly on any size of graph.  For t >= 3 the graph must fit under
+    oracle_limit.  Raises ValueError for a negative t or oracle_limit.
+    """
+    return _exhaustive(
+        g, t, oracle_limit, "minor",
+        lambda clique: tuple(frozenset({v}) for v in clique),
+        _minor_model,
     )
 
 

@@ -39,7 +39,7 @@ from clique_census.graph import Graph, induced_subgraph, rows
 from clique_census.tree import DEFAULT_NODE_CAP
 
 from brute import brute_census, brute_count, largest_label_at_depth
-from strategies import WORD_EDGE_SIZES, graphs, grid, word_edge_graphs
+from strategies import WORD_EDGE_SIZES, corpus, graphs, grid, word_edge_graphs
 
 
 def window_audit(g, t, **kwargs):
@@ -646,6 +646,21 @@ def test_margin_kinds():
     big = AuditCheck("x", 2**200, 2**200 + 1, True, "a").margin
     assert big == 1  # exact even far beyond float range
     assert float(AuditCheck("x", 1.5, 2.0, True, "a").margin) == pytest.approx(0.5)
+    # a failed check of the form lhs >= rhs, as a window oracle that found nothing
+    assert AuditCheck("window-oracle", 0, 1, False, "a").margin == -1
+
+
+def test_margin_sign_follows_verdict():
+    inputs = [(g, AuditConfig(t=t, assume_subdivision_free=free))
+              for t in (4, 5) for free in (False, True) for g in corpus()]
+    for g, cfg in inputs + audit_inputs():
+        for check in audit_graph(g, cfg).checks:
+            assert check.margin >= 0 if check.holds else check.margin <= 0, check
+    # K_13's window holds its min degree 12 >= 117/10 by 3/10
+    named = {c.name: c for c in audit_graph(complete(13), AuditConfig(
+        t=4, assume_subdivision_free=True)).checks}
+    assert named["window@0-min-degree"].margin == Fraction(3, 10)
+    assert named["window@0-size"].margin == -Fraction(63, 11)
 
 
 def test_report_json_shapes():

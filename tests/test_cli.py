@@ -410,8 +410,17 @@ def test_bad_spec_file_exits_2(capsys, tmp_path, content, message):
     ("complete:n=5/2", "construction complete needs an integer n, got 5/2"),
     ("path_power:n=7/2,k=1", "construction path_power needs an integer n, got 7/2"),
     ("cycle:n=4.5", "construction cycle needs an integer n, got 9/2"),
+    ("random_gnp:n=12,p=1/2,seed=7.9",
+     "construction random_gnp needs an integer seed, got 79/10"),
+    ('{"family": "random_gnp", "params": {"n": 12, "p": "1/2"}, "seed": 7.9}',
+     "construction random_gnp needs an integer seed, got 7.9"),
+    ('{"family": "random_gnp", "params": {"n": 12, "p": "1/2"}, "seed": true}',
+     "construction random_gnp needs an integer seed, got True"),
 ])
-def test_construction_parameter_not_an_integer_exits_2(capsys, spec, message):
+def test_construction_parameter_not_an_integer_exits_2(capsys, tmp_path, spec, message):
+    if spec.startswith("{"):  # a spec file
+        (tmp_path / "s.json").write_text(spec)
+        spec = str(tmp_path / "s.json")
     for command in ("count", "generate"):
         assert run(capsys, command, "--construct", spec) == (2, "", f"error: {message}\n")
 
@@ -491,6 +500,12 @@ def test_check_minor_certificate_above_oracle_limit(capsys):
     )
     assert code == 3
     assert "limited to" in err
+    # except at t <= 2, where the minor is K_t itself, found at any size
+    assert run(capsys, "check-minor", "--construct", "complete:n=20", "--t", "2") == (
+        0, "branch 0: 0\nbranch 1: 1\n", "")
+    code, out, err = run(capsys, "check-minor", "--construct", "complete:n=20", "--t", "4")
+    assert (code, out) == (3, "")
+    assert err == "error: minor search limited to 14 vertices, got 20\n"
 
 
 def test_exhaustive_limit_exit_3(capsys):

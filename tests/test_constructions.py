@@ -165,12 +165,24 @@ def test_gnp_threshold_is_exact_at_the_boundary(monkeypatch, p):
      "construction complete_multipartite needs an integer k, got 2.5"),
     (spec("random_gnp", n=Fraction(9, 2), p=Fraction(1, 2)),
      "construction random_gnp needs an integer n, got 9/2"),
+    # a seed is checked as the spec is read, in either form
+    ('{"family": "random_gnp", "params": {"n": 12, "p": "1/2"}, "seed": 7.9}',
+     "construction random_gnp needs an integer seed, got 7.9"),
+    ('{"family": "random_gnp", "params": {"n": 12, "p": "1/2"}, "seed": true}',
+     "construction random_gnp needs an integer seed, got True"),
+    ('{"family": "random_gnp", "params": {"n": 12, "p": "1/2"}, "seed": "7.9"}',
+     "construction random_gnp needs an integer seed, got 79/10"),
+    ("random_gnp:n=12,p=1/2,seed=7.9",
+     "construction random_gnp needs an integer seed, got 79/10"),
 ])
 def test_integer_parameter_is_not_truncated(s, message):
     with pytest.raises(ValueError) as err:
+        if isinstance(s, str):
+            s = spec_from_json(s) if s.startswith("{") else parse_construction_spec(s)
         generate(s)
     assert str(err.value) == message
-    if s.family != "random_gnp":  # the only family without a closed form
+    if isinstance(s, ConstructionSpec) and s.family != "random_gnp":
+        # random_gnp is the only family without a closed form
         with pytest.raises(ValueError) as err:
             predicted_clique_count(s)
         assert str(err.value) == message
@@ -183,6 +195,14 @@ def test_whole_number_parameters_are_integers():
         assert generate(s) == complete(5)
         assert predicted_clique_count(s) == 2**5
     assert generate(parse_construction_spec("cycle:n=12/2")) == cycle(6)
+    # so is a seed, in either spec form
+    for seed in ("7", "10/2", "7.0"):
+        s = parse_construction_spec(f"random_gnp:n=9,p=1/2,seed={seed}")
+        assert type(s.seed) is int and s.seed == Fraction(seed)
+    for seed in (7, "7", "10/2", 5.0):
+        s = spec_from_json({"family": "random_gnp", "params": {"n": 9, "p": "1/2"},
+                            "seed": seed})
+        assert type(s.seed) is int and s.seed == Fraction(seed)
 
 
 def test_parse_inline_spec():

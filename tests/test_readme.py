@@ -33,8 +33,8 @@ EXAMPLES = readme_examples()
 
 def test_readme_has_examples():
     commands = {argv[0] for argv, _ in EXAMPLES}
-    assert {"count", "census", "generate", "check-subdivision", "sparse-check",
-            "audit", "bounds"} <= commands
+    assert {"count", "census", "generate", "check-subdivision", "check-minor",
+            "sparse-check", "audit", "bounds"} <= commands
 
 
 def test_readme_examples_match(capsys, tmp_path, monkeypatch):

@@ -76,6 +76,27 @@ def test_trivial_t():
     assert has_subdivision(Graph(3, []), 2) is None
     with pytest.raises(ValueError):
         has_subdivision(g, -1)
+    assert has_minor(g, 0) == ()
+    assert has_minor(g, 1) == (frozenset({0}),)
+    assert has_minor(g, 2) == (frozenset({0}), frozenset({1}))
+    assert has_minor(Graph(0, []), 1) is None
+    assert has_minor(Graph(3, []), 2) is None
+    with pytest.raises(ValueError):
+        has_minor(g, -1)
+    # above both default limits, t <= 2 is still decided: K_t itself
+    for big, kt in (
+        (Graph(40, [(5, 9)]), [(), (0,), (5, 9)]),
+        (Graph(40, []), [(), (0,), None]),
+        (complete(20), [(), (0,), (0, 1)]),
+    ):
+        for t in (0, 1, 2):
+            w = has_subdivision(big, t)
+            parts = has_minor(big, t)
+            if kt[t] is None:
+                assert (w, parts) == (None, None)
+            else:
+                assert w.branch == kt[t] and verify_witness(big, w, t)
+                assert parts == tuple(frozenset({v}) for v in kt[t])
 
 
 def test_known_instances():
@@ -97,10 +118,9 @@ def test_oracle_limit():
         has_subdivision(k(17), 4)
     with pytest.raises(OracleLimitError):
         has_minor(k(15), 4)
-    # t <= 2 decides without the limit; the minor oracle enforces it always
+    # t <= 2 decides without the limit in both oracles: the model is K_t
     assert has_subdivision(Graph(40, [(0, 1)]), 2) is not None
-    with pytest.raises(OracleLimitError):
-        has_minor(Graph(40, [(0, 1)]), 2)
+    assert has_minor(Graph(40, [(0, 1)]), 2) == (frozenset({0}), frozenset({1}))
     # a negative limit is a usage error at every t, not a limit hit
     for t in (2, 4):
         with pytest.raises(ValueError):
@@ -148,9 +168,14 @@ def test_agrees_with_alternative_search(g):
 @given(graphs(max_n=8))
 @settings(max_examples=40, deadline=None)
 def test_subdivision_implies_minor(g):
-    for t in (3, 4):
-        if has_subdivision(g, t) is not None:
+    for t in range(6):
+        w = has_subdivision(g, t)
+        if w is not None:
             assert has_minor(g, t) is not None
+        if t <= 2:  # both find the same K_t
+            parts = has_minor(g, t)
+            assert parts == (None if w is None else
+                             tuple(frozenset({v}) for v in w.branch))
 
 
 def test_verify_witness_rejects_junk():
