@@ -5,15 +5,20 @@ most 2^(50t) * n cliques.  The proof factors through a skeleton subtree
 of the clique search tree, a case split over the skeleton's boundary
 nodes, and a dense-window analysis; each step yields a concrete
 inequality that can be re-checked exactly on a given input.  Checks use
-exact integer or rational arithmetic wherever both sides are rational,
-and 50-digit floating point where a side is transcendental.
+exact integer or rational arithmetic wherever both sides are rational.
+Where a side is transcendental, the standard library's decimal module
+evaluates it at rising precision until a rounding-error bound separates
+it from the rational side, so every verdict is exact; reports show such
+values to 15 significant digits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context, Decimal, localcontext
 from fractions import Fraction
-from math import comb, e, log, log2, sqrt
+from functools import cache
+from math import comb, e, floor, log, log2, sqrt
 
 from .errors import ExtractionError
 from . import backend as _backend
@@ -42,21 +47,9 @@ from .tree import build_tree  # noqa: F401  unused here; traced by this name
 # module-level name.  It also wraps build_tree and induced_subgraph,
 # which the audit never calls; the imports above only keep those names.
 
-AUDIT_DPS = 50
-
-
-class _LazyMp:
-    """Stands for mpmath's `mp` context until its first use, which imports
-    mpmath and puts the context in its place: only the checks use it, and
-    importing it is most of the package's import time."""
-
-    def __getattr__(self, name):
-        global mp
-        from mpmath import mp
-        return getattr(mp, name)
-
-
-mp = _LazyMp()
+# reported reals and margins carry 50 significant digits; no exponent limit
+_CONTEXT = Context(prec=50, Emax=MAX_EMAX, Emin=MIN_EMIN)
+_DISPLAY = Context(prec=15, rounding=ROUND_HALF_UP, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 @dataclass(frozen=True)
@@ -96,12 +89,10 @@ class AuditCheck:
     @property
     def margin(self):
         """|rhs - lhs|, negated when the check fails: a check of the form
-        lhs >= rhs holds with a positive margin too."""
-        with mp.workdps(AUDIT_DPS):
-            if isinstance(self.lhs, int) and isinstance(self.rhs, (int, Fraction)):
-                gap = abs(self.rhs - self.lhs)
-            else:
-                gap = abs(_to_mpf(self.rhs) - _to_mpf(self.lhs))
+        lhs >= rhs holds with a positive margin too.  Exact unless a side
+        is a Decimal, then to 50 digits."""
+        with localcontext(_CONTEXT):
+            gap = abs(self.rhs - self.lhs)
             return gap if self.holds else -gap
 
     def to_json(self) -> dict:
@@ -239,21 +230,90 @@ class Skeleton:
         return [node for node in self.nodes if not all(node.child_in_skeleton)]
 
 
-def _to_mpf(value):
-    if isinstance(value, Fraction):
-        return mp.mpf(value.numerator) / value.denominator
-    return mp.mpf(value)
-
-
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
+    """An int as str() does, a Fraction as "p/q", and any other real
+    rounded half away from zero to 15 significant digits, trailing zeros
+    dropped: in fixed point for decimal exponents -4 to 14, with ".0" on
+    a whole value, and otherwise as a mantissa with an exponent, as in
+    "3.79151248011886e+54" or "2.0e-5"."""
     if isinstance(value, int):
         return str(value)
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
-    with mp.workdps(AUDIT_DPS):
-        return mp.nstr(_to_mpf(value), 15)
+    x = Decimal(value).normalize(_DISPLAY)
+    if not x:
+        return "0.0"
+    exponent = x.adjusted()
+    if -4 <= exponent <= 14:
+        text, suffix = f"{x:f}", ""
+    else:
+        text, suffix = f"{x.scaleb(-exponent, _DISPLAY):f}", f"e{exponent:+d}"
+    return (text if "." in text else text + ".0") + suffix
+
+
+# The transcendental sides of the checks, each a function of integers (k
+# may be a Fraction) evaluated in the current decimal context; _at_most
+# bounds their rounding error.
+
+
+def _height_bound(t):
+    """1 + ln(10 t^2) / (2 ln(10/9)), the skeleton height bound."""
+    return 1 + Decimal(10 * t * t).ln() / (2 * (Decimal(10) / 9).ln())
+
+
+def _size_factor(t):
+    """2^(44.1 t), the skeleton size bound per vertex."""
+    return (Decimal(441 * t) / 10 * Decimal(2).ln()).exp()
+
+
+def _cap(t):
+    """2^(sqrt(10) t), the bound on a small boundary node's subtree."""
+    return (Decimal(10).sqrt() * t * Decimal(2).ln()).exp()
+
+
+def _window_depth(t, m):
+    """2 (t^2/m) ln(m/t), the truncation depth before its floor; m >= 5t."""
+    return 2 * t * t * (Decimal(m) / t).ln() / m
+
+
+def _binom_bound(m, k):
+    """(e m / k)^k = e^(k (1 + ln(m/k))) for 0 < k <= m."""
+    return (Decimal(k.numerator) / k.denominator
+            * (1 + (Decimal(m * k.denominator) / k.numerator).ln())).exp()
+
+
+@cache
+def _real(f, *args, prec=50):
+    """f(*args) to prec significant digits."""
+    with localcontext(_CONTEXT) as ctx:
+        ctx.prec = prec
+        return f(*args)
+
+
+def _at_most(x, f, *args) -> bool:
+    """Whether the rational x is at most f(*args), decided exactly.
+
+    f is one of the quantities above.  At prec digits a decimal operation
+    errs by at most one unit in the last place, a relative r = 10^(1 - prec).
+    The quantities without exp end within 15 r of their true value.  An exp
+    whose argument Y is within 5.2 r errs by at most (5.2 |Y| + 1) r, and
+    |Y| = |ln value| <= 2.31 (|e| + 1) for the value's decimal exponent e.
+    Both errors lie below (|e| + 3) 100 r, and the precision doubles until x
+    lies outside that distance of the value.  This ends, because no
+    quantity is rational: 2^(sqrt(10) t) is transcendental by Gelfond and
+    Schneider; e^q for rational q != 0, hence (e m / k)^k = e^k (m/k)^k,
+    and ln(m/t) for m != t, hence the depth, by Lindemann; and
+    1 + ln(10 t^2) / (2 ln(10/9)) = h would need (10/9)^(2(h - 1)) = 10 t^2,
+    which no integer h solves.
+    """
+    prec = 50
+    while True:
+        value = _real(f, *args, prec=prec)
+        exact = Fraction(value)
+        gap = exact - x
+        if abs(gap) * 10 ** (prec - 3) > abs(exact) * (abs(value.adjusted()) + 3):
+            return gap > 0
+        prec *= 2
 
 
 def build_skeleton(g: Graph, t: int,
@@ -314,38 +374,24 @@ def build_skeleton(g: Graph, t: int,
 
 def audit_skeleton_size(skeleton: Skeleton, t: int, n: int) -> list[AuditCheck]:
     """Height and node-count bounds for the skeleton."""
-    checks = []
-    with mp.workdps(AUDIT_DPS):
-        height_bound = 1 + mp.log(10 * t * t) / (2 * mp.log(mp.mpf(10) / 9))
-        checks.append(
-            AuditCheck(
-                name="skeleton-height",
-                lhs=skeleton.height,
-                rhs=height_bound,
-                holds=mp.mpf(skeleton.height) <= height_bound,
-                anchor="height <= 1 + ln(10 t^2) / (2 ln(10/9))",
-            )
-        )
     # size <= 2^(44.1 t) * n, exactly: size^10 <= 2^(441 t) * n^10
     size = skeleton.size
-    holds = size**10 <= 2 ** (441 * t) * n**10
-    with mp.workdps(AUDIT_DPS):
-        rhs = mp.power(2, mp.mpf(441 * t) / 10) * n
-    checks.append(
+    return [
+        AuditCheck(
+            name="skeleton-height",
+            lhs=skeleton.height,
+            rhs=_real(_height_bound, t),
+            holds=_at_most(skeleton.height, _height_bound, t),
+            anchor="height <= 1 + ln(10 t^2) / (2 ln(10/9))",
+        ),
         AuditCheck(
             name="skeleton-size",
             lhs=size,
-            rhs=rhs,
-            holds=holds,
+            rhs=_CONTEXT.multiply(_real(_size_factor, t), n),
+            holds=size**10 <= 2 ** (441 * t) * n**10,
             anchor="skeleton size <= 2^(44.1 t) * n",
-        )
-    )
-    return checks
-
-
-def _sqrt10t_pow(t: int):
-    with mp.workdps(AUDIT_DPS):
-        return mp.power(2, mp.sqrt(10) * t)
+        ),
+    ]
 
 
 def _window_start(node: SkeletonNode) -> int | None:
@@ -355,6 +401,17 @@ def _window_start(node: SkeletonNode) -> int | None:
         if 10 * size >= 9 * node.label_size:
             return pos
     return None
+
+
+def _truncation_depth(t: int, m: int) -> int:
+    """floor(2 (t^2/m) ln(m/t)) for m >= 5t: the floor of the 50-digit
+    value, confirmed exactly as depth <= value < depth + 1."""
+    depth = int(_real(_window_depth, t, m))
+    while not _at_most(depth, _window_depth, t, m):
+        depth -= 1
+    while _at_most(depth + 1, _window_depth, t, m):
+        depth += 1
+    return depth
 
 
 def _largest_label_at_depth(bits, depth: int) -> int:
@@ -429,8 +486,7 @@ def audit_dense_window(
         )
     )
     if m >= 5 * t:
-        with mp.workdps(AUDIT_DPS):
-            depth = int(mp.floor(2 * mp.mpf(t * t) / m * mp.log(mp.mpf(m) / t)))
+        depth = _truncation_depth(t, m)
         # the window tree has window_count nodes; past the cap it is not walked
         if window_count > DEFAULT_NODE_CAP:
             checks.append(
@@ -559,33 +615,28 @@ def audit_boundary_cases(skeleton: Skeleton, cfg: AuditConfig, g: Graph):
             if pos < start:
                 small_child_max = max(small_child_max, node.child_sizes[pos])
 
-    cap = _sqrt10t_pow(t)
-    with mp.workdps(AUDIT_DPS):
-        checks.insert(
-            0,
-            AuditCheck(
-                name="boundary-small-subtree",
-                lhs=small_label_max,
-                rhs=cap,
-                holds=mp.mpf(small_label_max) <= cap,
-                anchor="a boundary node with label size <= sqrt(10) t hangs "
-                "at most 2^(sqrt(10) t) nodes",
-            ),
-        )
-        checks.insert(
-            1,
-            AuditCheck(
-                name="boundary-excluded-child",
-                lhs=small_child_max,
-                rhs=cap,
-                holds=mp.mpf(small_child_max) <= cap,
-                anchor="an excluded child below the small threshold hangs "
-                "at most 2^(sqrt(10) t) nodes",
-            ),
-        )
-        hanging = max(mp.mpf(1), mp.mpf(largest_window))
-        if have_fallback_nodes:
-            hanging = max(hanging, cap)
+    cap = _real(_cap, t)
+    checks[:0] = [
+        AuditCheck(
+            name="boundary-small-subtree",
+            lhs=small_label_max,
+            rhs=cap,
+            holds=_at_most(small_label_max, _cap, t),
+            anchor="a boundary node with label size <= sqrt(10) t hangs "
+            "at most 2^(sqrt(10) t) nodes",
+        ),
+        AuditCheck(
+            name="boundary-excluded-child",
+            lhs=small_child_max,
+            rhs=cap,
+            holds=_at_most(small_child_max, _cap, t),
+            anchor="an excluded child below the small threshold hangs "
+            "at most 2^(sqrt(10) t) nodes",
+        ),
+    ]
+    hanging = max(1, largest_window)
+    if have_fallback_nodes and _at_most(hanging, _cap, t):
+        return cases, checks, cap
     return cases, checks, hanging
 
 
@@ -595,30 +646,34 @@ def audit_total(
     hanging_count: int,
     cfg: AuditConfig,
     n: int,
-    hanging: object,
+    hanging: int | Decimal,
 ) -> list[AuditCheck]:
     """The bound through the skeleton, then the headline bound.
 
     The tree is the skeleton plus hanging_count hanging subtrees, each
     bounded by hanging, the largest hanging-subtree bound M that
-    audit_boundary_cases returns.
+    audit_boundary_cases returns: an int, or the value of the cap
+    2^(sqrt(10) t), against which the check is decided exactly.
     """
     t = cfg.t
-    checks = []
-    with mp.workdps(AUDIT_DPS):
+    if isinstance(hanging, int):
         rhs = skeleton_size + hanging_count * hanging
-        checks.append(
-            AuditCheck(
-                name="total-product",
-                lhs=tree_size,
-                rhs=rhs,
-                holds=mp.mpf(tree_size) <= rhs,
-                anchor="tree size <= skeleton size + hanging subtrees * "
-                "max hanging subtree bound",
-            )
-        )
-    checks.append(_headline_check(tree_size, t, n))
-    return checks
+        holds = tree_size <= rhs
+    else:
+        # M is the cap only where a boundary node hangs a subtree: hanging_count >= 1
+        rhs = _CONTEXT.fma(hanging_count, hanging, skeleton_size)
+        holds = _at_most(Fraction(tree_size - skeleton_size, hanging_count), _cap, t)
+    return [
+        AuditCheck(
+            name="total-product",
+            lhs=tree_size,
+            rhs=rhs,
+            holds=holds,
+            anchor="tree size <= skeleton size + hanging subtrees * "
+            "max hanging subtree bound",
+        ),
+        _headline_check(tree_size, t, n),
+    ]
 
 
 def _headline_check(count: int, t: int, n: int) -> AuditCheck:
@@ -645,21 +700,15 @@ def check_binom_sum_inequality(m: int, k) -> AuditCheck:
     """sum_{i<=floor(k)} C(m, i) <= (e m / k)^k for 0 < k <= m."""
     if m < 1:
         raise ValueError("need m >= 1")
-    with mp.workdps(AUDIT_DPS):
-        if isinstance(k, Fraction):
-            kf = mp.mpf(k.numerator) / k.denominator
-        else:
-            kf = mp.mpf(k)
-        if not 0 < kf <= m:
-            raise ValueError("need 0 < k <= m")
-        lhs = sum(comb(m, i) for i in range(int(mp.floor(kf)) + 1))
-        rhs = mp.power(mp.e * m / kf, kf)
-        holds = mp.mpf(lhs) <= rhs
+    k = Fraction(k)
+    if not 0 < k <= m:
+        raise ValueError("need 0 < k <= m")
+    lhs = sum(comb(m, i) for i in range(floor(k) + 1))
     return AuditCheck(
         name="binomial-prefix-sum",
         lhs=lhs,
-        rhs=rhs,
-        holds=holds,
+        rhs=_real(_binom_bound, m, k),
+        holds=_at_most(lhs, _binom_bound, m, k),
         anchor="sum_{i=0}^{floor(k)} C(m, i) <= (e m / k)^k",
     )
 

@@ -15,11 +15,13 @@ import os
 import sys
 from bisect import bisect_left
 from contextlib import contextmanager
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterator, NamedTuple, TextIO
 
 from .audit import (
     AuditConfig,
+    _fmt,
     audit_graph,
     bound_degenerate,
     check_binom_sum_inequality,
@@ -54,6 +56,11 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
+
+# no limit applies below t = 3, nor where the elimination certificate decides
+_ORACLE_LIMIT_HELP = ("max vertices of a graph the exhaustive search takes, "
+                      "from t = 3 on (default {})")
+
 
 class _UsageError(Exception):
     pass
@@ -118,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--oracle-limit",
             type=int,
             default=limit,
-            help=f"max vertices the oracle accepts (default {limit})",
+            help=_ORACLE_LIMIT_HELP.format(limit),
         )
 
     p = sub.add_parser("sparse-check", help="test (beta, N)-local sparsity")
@@ -139,7 +146,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--assume-subdivision-free", action="store_true")
     p.add_argument(
-        "--oracle-limit", type=int, default=DEFAULT_SUBDIVISION_LIMIT
+        "--oracle-limit",
+        type=int,
+        default=DEFAULT_SUBDIVISION_LIMIT,
+        help=_ORACLE_LIMIT_HELP.format(DEFAULT_SUBDIVISION_LIMIT),
     )
 
     p = sub.add_parser("bounds", help="closed-form bound calculators")
@@ -493,7 +503,8 @@ def _cmd_audit(args) -> _Report:
 
 
 def _short(value) -> str:
-    text = str(value)
+    # a Decimal to 15 digits; str() shows Fraction(9) as "9", _fmt as "9/1"
+    text = _fmt(value) if isinstance(value, Decimal) else str(value)
     if len(text) > 40:
         return f"{text[:12]}...({len(text)} digits)"
     return text
@@ -504,6 +515,15 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise _UsageError(f"bad fraction {text!r}: zero denominator") from None
+    except ValueError:
+        raise _UsageError(f"bad fraction {text!r}") from None
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise _UsageError(f"bad integer {text!r}") from None
 
 
 def _cmd_bounds(args) -> _Report:
@@ -516,17 +536,17 @@ def _cmd_bounds(args) -> _Report:
         payload["degenerate"] = {"d": d, "n": n, "bound": str(value)}
         lines.append(f"degenerate: {value}")
     if args.binom:
-        m = int(args.binom[0])
+        m = _integer(args.binom[0])
         k = _fraction(args.binom[1])
         check = check_binom_sum_inequality(m, k)
         payload["binom"] = check.to_json()
         mark = "holds" if check.holds else "FAILS"
-        lines.append(f"binom: {mark} lhs={check.lhs} rhs={check.rhs}")
+        lines.append(f"binom: {mark} lhs={check.lhs} rhs={_fmt(check.rhs)}")
         failed = not check.holds
     if args.refined:
         alpha = _fraction(args.refined[0])
         beta = _fraction(args.refined[1])
-        t = int(args.refined[2])
+        t = _integer(args.refined[2])
         report = refined_exponents(alpha, beta, t)
         payload["refined"] = report.to_json()
         lines.append(

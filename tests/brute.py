@@ -4,11 +4,14 @@ The oracles work from the edge list alone and avoid the package's
 search-tree machinery, so agreement is meaningful. The search-tree
 helpers at the end (re-rooting, rooted subtrees, the counting-through-a-
 subtree bound and tree isomorphism) work on trees from build_tree; the
-tests use them to check the paper's subtree property.
+tests use them to check the paper's subtree property. The audit's
+real-valued bounds are decided last, with Fractions and integer powers
+only.
 """
 
+from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, floor, isqrt
 from typing import NamedTuple
 
 from clique_census.graph import mask_vertices
@@ -309,3 +312,73 @@ def trees_isomorphic(a: CliqueSearchTree, b: CliqueSearchTree,
                 return False
             stack.append((cx, cy))
     return True
+
+
+# The audit's transcendental bounds, decided with Fractions and integer
+# powers only; each loop ends because no bound equals a rational.
+
+
+def height_within_bound(h, t) -> bool:
+    """h <= 1 + ln(10 t^2) / (2 ln(10/9)), as (10/9)^(2(h-1)) <= 10 t^2."""
+    return h <= 1 or 10 ** (2 * (h - 1)) <= 10 * t * t * 9 ** (2 * (h - 1))
+
+
+def at_most_cap(x, t) -> bool:
+    """x <= 2^(sqrt(10) t) for a rational x: with s = isqrt(10 t^2 k^2),
+    s < sqrt(10) t k < s + 1, so x^k <= 2^s proves it and x^k >= 2^(s+1)
+    refutes it; k doubles until one does. The k needed grows as the
+    inverse of x's relative distance from the cap."""
+    x = Fraction(x)
+    if x <= 0:
+        return True
+    k = 1
+    while True:
+        s = isqrt(10 * t * t * k * k)
+        power = x**k
+        if power <= 2**s:
+            return True
+        if power >= 2 ** (s + 1):
+            return False
+        k *= 2
+
+
+def exp_at_most(q, r) -> bool:
+    """e^q <= r for rationals q >= 0 and r, q != 0 or r != 1.
+
+    With q = a/b it decides e^a <= r^b between lo^a and hi^a, where lo
+    is the sum of 1/i! for i <= n, and hi adds twice the next term, more
+    than the rest of the series; n doubles until they agree.
+    """
+    q, r = Fraction(q), Fraction(r)
+    if r <= 0:
+        return False
+    a, target = q.numerator, r**q.denominator
+    n = 4
+    while True:
+        lo, term = Fraction(0), Fraction(1)
+        for i in range(1, n + 2):
+            lo += term
+            term /= i
+        if (lo + 2 * term) ** a <= target:
+            return True
+        if lo**a >= target:
+            return False
+        n *= 2
+
+
+def truncation_depth(t, m) -> int:
+    """floor(2 (t^2/m) ln(m/t)) for m > t >= 1: the largest d with
+    e^(d m / (2 t^2)) <= m/t."""
+    d = 0
+    while exp_at_most(Fraction((d + 1) * m, 2 * t * t), Fraction(m, t)):
+        d += 1
+    return d
+
+
+def binom_within_bound(m, k) -> bool:
+    """sum_{i <= floor(k)} C(m, i) <= (e m / k)^k for rational 0 < k <= m:
+    with k = a/b, lhs^b (a / (m b))^a <= e^a."""
+    k = Fraction(k)
+    lhs = sum(comb(m, i) for i in range(floor(k) + 1))
+    a, b = k.numerator, k.denominator
+    return not exp_at_most(a, Fraction(lhs) ** b * Fraction(a, m * b) ** a)

@@ -7,11 +7,13 @@ import subprocess
 import sys
 import time
 from contextlib import nullcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import comb, isclose
+from math import comb, isclose, sqrt
 
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 import clique_census
 import clique_census.audit as audit_module
@@ -35,10 +37,19 @@ from clique_census import (
     random_gnp,
     refined_exponents,
 )
+from clique_census.cli import main
 from clique_census.graph import Graph, induced_subgraph, rows
 from clique_census.tree import DEFAULT_NODE_CAP
 
-from brute import brute_census, brute_count, largest_label_at_depth
+from brute import (
+    at_most_cap,
+    binom_within_bound,
+    brute_census,
+    brute_count,
+    height_within_bound,
+    largest_label_at_depth,
+    truncation_depth,
+)
 from strategies import WORD_EDGE_SIZES, corpus, graphs, grid, word_edge_graphs
 
 
@@ -640,6 +651,76 @@ def test_binom_sum_inequality():
         check_binom_sum_inequality(5, 6)
 
 
+def reference_verdict(check, g, t):
+    """The check's verdict by tests/brute.py, or from its exact sides."""
+    lhs, rhs = check.lhs, check.rhs
+    if check.name == "skeleton-height":
+        return height_within_bound(lhs, t)
+    if check.name == "skeleton-size":
+        return lhs**10 <= 2 ** (441 * t) * g.n**10
+    if check.name.startswith("boundary-"):
+        return at_most_cap(lhs, t)
+    if check.name == "total-product" and isinstance(rhs, Decimal):
+        skeleton = build_skeleton(g, t)
+        return at_most_cap(Fraction(lhs - skeleton.size, skeleton.hanging_count), t)
+    assert not isinstance(rhs, Decimal), check
+    if check.name.endswith(("-min-degree", "-oracle")):
+        return lhs >= rhs
+    if check.name.endswith("-truncation"):
+        return lhs < rhs
+    return lhs <= rhs
+
+
+def test_audit_verdicts_match_the_reference():
+    inputs = [(g, AuditConfig(t=t)) for t in (4, 5, 8) for g in corpus()]
+    for g, cfg in inputs + audit_inputs():
+        for check in audit_graph(g, cfg).checks:
+            assert check.holds == reference_verdict(check, g, cfg.t), (g, cfg, check)
+
+
+def test_truncation_depth_matches_the_reference():
+    for t in range(1, 11):
+        for m in range(5 * t, 5 * t + 60):
+            assert audit_module._truncation_depth(t, m) == truncation_depth(t, m), (t, m)
+
+
+@given(st.integers(1, 12), st.integers(1, 50), st.floats(0.98, 1.02))
+@settings(max_examples=200)
+def test_cap_verdicts_match_the_reference(t, denominator, ratio):
+    x = Fraction(round(2 ** (sqrt(10) * t) * ratio * denominator), denominator)
+    # the reference's work grows as the inverse of x's distance from the
+    # cap; the near-tie test below covers close values
+    assume(abs(float(x) / 2 ** (sqrt(10) * t) - 1) > 1e-4)
+    assert audit_module._at_most(x, audit_module._cap, t) == at_most_cap(x, t)
+
+
+@given(st.integers(1, 60), st.integers(1, 360), st.integers(1, 6))
+@settings(max_examples=200)
+def test_binom_verdicts_match_the_reference(m, numerator, denominator):
+    k = Fraction(numerator, denominator)
+    assume(k <= m)
+    assert check_binom_sum_inequality(m, k).holds == binom_within_bound(m, k)
+
+
+def test_near_ties_need_more_than_50_digits():
+    # rationals 10^-60 either side of 2^(sqrt(10) t), from 80 digits; 50
+    # digits cannot tell them apart
+    tiny = Fraction(1, 10**60)
+    for t in (1, 4, 5, 8):
+        with localcontext() as ctx:
+            ctx.prec = 80
+            cap = Fraction(Decimal(2) ** (t * Decimal(10).sqrt()))
+        assert audit_module._at_most(cap - tiny, audit_module._cap, t)
+        assert not audit_module._at_most(cap + tiny, audit_module._cap, t)
+    # the same for every quantity, 10^-60 of its size away
+    for f, args in ((audit_module._height_bound, (4,)), (audit_module._size_factor, (8,)),
+                    (audit_module._window_depth, (4, 20)),
+                    (audit_module._binom_bound, (100, Fraction(5, 2)))):
+        value = Fraction(audit_module._real(f, *args, prec=80))
+        assert audit_module._at_most(value * (1 - tiny), f, *args)
+        assert not audit_module._at_most(value * (1 + tiny), f, *args)
+
+
 def test_margin_kinds():
     assert AuditCheck("x", 3, 5, True, "a").margin == 2
     assert AuditCheck("x", 3, Fraction(7, 2), True, "a").margin == Fraction(1, 2)
@@ -734,29 +815,47 @@ def test_refined_exponents_json():
     assert isclose(data["total_exponent"], r.total_exponent)
 
 
-# In a fresh interpreter: imports the package and runs CLI count, then
-# prints whether mpmath is loaded, then audits complete(13) and prints
-# whether it is loaded and the report's JSON.
-_MPMATH_PROBE = """
+# In a fresh interpreter where any import of mpmath fails: runs each CLI
+# command line of argv[2] and prints its exit code and output as JSON.
+_NO_MPMATH_PROBE = """
 import contextlib, io, json, sys
+sys.modules["mpmath"] = None
 sys.path.insert(0, sys.argv[1])
-import clique_census
 from clique_census.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    assert main(["count", "--construct", "complete:n=13"]) == 0
-print("mpmath" in sys.modules)
-report = clique_census.audit_graph(clique_census.complete(13), clique_census.AuditConfig(t=4))
-print("mpmath" in sys.modules)
-print(json.dumps(report.to_json(), sort_keys=True))
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    print(json.dumps([code, out.getvalue()]))
 """
 
 
-def test_mpmath_loads_only_for_the_audit_checks():
+def test_cli_runs_without_mpmath(capsys):
+    k13 = ["--construct", "complete:n=13", "--t", "4", "--format", "json"]
+    commands = [
+        ["count", "--construct", "complete:n=13"],
+        ["audit", *k13],
+        ["audit", *k13, "--assume-subdivision-free"],
+        ["bounds", "--binom", "100", "5/2"],
+        ["census", "--construct", "petersen"],
+        ["enumerate", "--construct", "complete:n=4"],
+        ["generate", "--construct", "petersen"],
+        ["check-subdivision", "--construct", "petersen", "--t", "5"],
+        ["check-minor", "--construct", "petersen", "--t", "4"],
+        ["sparse-check", "--construct", "petersen", "--t", "4"],
+    ]
     package_root = os.path.dirname(os.path.dirname(clique_census.__file__))
-    proc = subprocess.run([sys.executable, "-c", _MPMATH_PROBE, package_root],
+    proc = subprocess.run([sys.executable, "-c", _NO_MPMATH_PROBE, package_root,
+                           json.dumps(commands)],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    before, after, report = proc.stdout.splitlines()
-    assert (before, after) == ("False", "True")
-    want = audit_graph(complete(13), AuditConfig(t=4)).to_json()
-    assert json.loads(report) == json.loads(json.dumps(want, sort_keys=True))
+    results = [json.loads(line) for line in proc.stdout.splitlines()]
+    for argv, (code, out) in zip(commands, results, strict=True):
+        assert [main(argv), capsys.readouterr().out] == [code, out], argv
+    for (code, out), free in zip(results[1:3], (False, True)):
+        report = json.loads(out)
+        del report["config"]
+        want = audit_graph(complete(13), AuditConfig(t=4, assume_subdivision_free=free))
+        assert code == 1
+        assert report == {key: value for key, value in want.to_json().items()
+                          if key != "config"}

@@ -763,13 +763,17 @@ def test_bounds_json(capsys):
 
 
 def test_bounds_bad_rational_exit_2(capsys):
-    assert run(capsys, "bounds", "--refined", "zero", "1/2", "4")[0] == 2
     assert run(capsys, "bounds", "--binom", "10", "0")[0] == 2
     for argv in (("--binom", "10", "1/0"), ("--refined", "1/0", "1/2", "4"),
                  ("--refined", "1/10", "0/0", "4")):
         code, out, err = run(capsys, "bounds", *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: bad fraction") and "zero denominator" in err
+    for argv, message in ((("--binom", "2.5", "1"), "bad integer '2.5'"),
+                          (("--refined", "1/10", "1/2", "4.5"), "bad integer '4.5'"),
+                          (("--binom", "10", "abc"), "bad fraction 'abc'"),
+                          (("--refined", "zero", "1/2", "4"), "bad fraction 'zero'")):
+        assert run(capsys, "bounds", *argv) == (2, "", f"error: {message}\n")
 
 
 def test_output_flag_writes_file(capsys, tmp_path):
