@@ -720,50 +720,29 @@ def audit_graph(g: Graph, cfg: AuditConfig) -> AuditReport:
     peel = degeneracy(g)
     d = peel.d
 
-    if t <= 3:
+    if t <= 3 or g.n == 0:
+        # no K_t-subdivision with t <= 3 forces a forest (or less); on the
+        # empty graph every n-scaled bound is vacuous, the only clique the
+        # empty one
         count = count_cliques(g)
-        # no K_t-subdivision with t <= 3 forces a forest (or less)
-        if g.n == 0:
-            report.checks.append(
-                AuditCheck(
-                    name="forest-count",
-                    lhs=count,
-                    rhs=1,
-                    holds=count == 1,
-                    anchor="the empty graph has exactly the empty clique",
-                )
+        rhs = 2 * g.n if g.n else 1
+        report.checks.append(
+            AuditCheck(
+                name="forest-count" if t <= 3 else "empty-graph",
+                lhs=count,
+                rhs=rhs,
+                holds=count <= rhs,
+                anchor="forests have at most 2n cliques" if g.n
+                else "the empty graph has exactly the empty clique",
             )
-        else:
-            report.checks.append(
-                AuditCheck(
-                    name="forest-count",
-                    lhs=count,
-                    rhs=2 * g.n,
-                    holds=count <= 2 * g.n,
-                    anchor="forests have at most 2n cliques",
-                )
-            )
+        )
+        if g.n:
             report.checks.append(_headline_check(count, t, g.n))
         report.checks.append(_degenerate_check(count, d, g.n))
         report.notes.append(
-            "t <= 3 short-circuit: a subdivision-free input is a forest"
+            "t <= 3 short-circuit: a subdivision-free input is a forest" if t <= 3
+            else "empty vertex set: n-scaled bounds skipped"
         )
-        return report
-
-    if g.n == 0:
-        # every n-scaled bound is vacuous; the only clique is the empty one
-        count = count_cliques(g)
-        report.checks.append(
-            AuditCheck(
-                name="empty-graph",
-                lhs=count,
-                rhs=1,
-                holds=count == 1,
-                anchor="the empty graph has exactly the empty clique",
-            )
-        )
-        report.checks.append(_degenerate_check(count, d, g.n))
-        report.notes.append("empty vertex set: n-scaled bounds skipped")
         return report
 
     if not cfg.assume_subdivision_free:

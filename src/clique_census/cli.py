@@ -16,7 +16,6 @@ import sys
 from bisect import bisect_left
 from contextlib import contextmanager
 from decimal import Decimal
-from fractions import Fraction
 from typing import Iterator, NamedTuple, TextIO
 
 from .audit import (
@@ -31,6 +30,7 @@ from .constructions import (
     generate,
     lower_bound_constant,
     parse_construction_spec,
+    parse_fraction,
     predicted_clique_count,
     spec_from_json,
 )
@@ -45,7 +45,6 @@ from .sparsity import (
 from .subdivision import (
     DEFAULT_MINOR_LIMIT,
     DEFAULT_SUBDIVISION_LIMIT,
-    elimination_certificate,
     has_minor,
     has_subdivision,
 )
@@ -416,22 +415,11 @@ def _cmd_generate(args) -> _Report:
 
 
 def _cmd_check(args, oracle, render) -> _Report:
-    """Decide K_t-subdivision or K_t-minor containment.
-
-    Elimination width <= t-2 bounds the treewidth, which a K_t minor, and
-    so a K_t-subdivision, would force up to t-1: the certificate answers
-    "none" at any size. Otherwise the exhaustive oracle decides, limited
-    to --oracle-limit vertices, and render(witness) gives the witness's
-    JSON and its text lines.
+    """Decide K_t-subdivision or K_t-minor containment with the oracle,
+    limited to --oracle-limit vertices where its certificate cannot
+    decide; render(witness) gives the witness's JSON and its text lines.
     """
-    # a usage error even where the certificate would answer without the
-    # oracle the limit is for
-    if args.oracle_limit < 0:
-        raise _UsageError("oracle_limit must be non-negative")
-    g = _resolve_graph(args)
-    witness = None
-    if not elimination_certificate(g, args.t):
-        witness = oracle(g, args.t, oracle_limit=args.oracle_limit)
+    witness = oracle(_resolve_graph(args), args.t, oracle_limit=args.oracle_limit)
     if witness is None:
         return _Report({"witness": None}, "none")
     payload, lines = render(witness)
@@ -454,9 +442,10 @@ def _cmd_sparse_check(args) -> _Report:
     if args.beta is not None or args.n_threshold is not None:
         if args.beta is None or args.n_threshold is None:
             raise _UsageError("--beta and --n-threshold go together")
+        beta = parse_fraction(args.beta)
         try:
-            params = SparsityParams(Fraction(args.beta), args.n_threshold)
-        except (ValueError, ZeroDivisionError) as err:
+            params = SparsityParams(beta, args.n_threshold)
+        except ValueError as err:
             raise _UsageError(f"bad sparsity parameters: {err}")
     elif args.t is not None:
         params = lemma_sparsity_params(g.n, args.t)
@@ -510,15 +499,6 @@ def _short(value) -> str:
     return text
 
 
-def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise _UsageError(f"bad fraction {text!r}: zero denominator") from None
-    except ValueError:
-        raise _UsageError(f"bad fraction {text!r}") from None
-
-
 def _integer(text: str) -> int:
     try:
         return int(text)
@@ -537,15 +517,15 @@ def _cmd_bounds(args) -> _Report:
         lines.append(f"degenerate: {value}")
     if args.binom:
         m = _integer(args.binom[0])
-        k = _fraction(args.binom[1])
+        k = parse_fraction(args.binom[1])
         check = check_binom_sum_inequality(m, k)
         payload["binom"] = check.to_json()
         mark = "holds" if check.holds else "FAILS"
         lines.append(f"binom: {mark} lhs={check.lhs} rhs={_fmt(check.rhs)}")
         failed = not check.holds
     if args.refined:
-        alpha = _fraction(args.refined[0])
-        beta = _fraction(args.refined[1])
+        alpha = parse_fraction(args.refined[0])
+        beta = parse_fraction(args.refined[1])
         t = _integer(args.refined[2])
         report = refined_exponents(alpha, beta, t)
         payload["refined"] = report.to_json()

@@ -131,10 +131,22 @@ class ConstructionSpec:
 _INT_RE = re.compile(r"-?\d+\Z")
 
 
+def parse_fraction(text: str) -> Fraction:
+    """The rational a user typed, e.g. "9/10" or "0.5"; malformed text or
+    a zero denominator raises ValueError naming the text."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"bad fraction {text!r}: zero denominator") from None
+    except ValueError:
+        raise ValueError(f"bad fraction {text!r}") from None
+
+
 def _parse_value(text: str):
+    # integer literals stay ints, so a spec echoes "n": 5, not "n": "5"
     if _INT_RE.match(text):
         return int(text)
-    return Fraction(text)
+    return parse_fraction(text)
 
 
 def parse_construction_spec(text: str) -> ConstructionSpec:

@@ -5,13 +5,12 @@ vertex, so it takes O(n + m) memory. Graph(n, pairs) is the one place that
 drops duplicate edges and counts them: the readers hand it the pairs as
 read. The census kernel and the min-degree descents read bit rows instead
 (Python ints, so there is no width cap). rows(g, vertices) builds them for
-the whole graph or for one vertex set, such as a dense window, and
-induced subgraphs are built from its rows; the local graphs of a root
-split get theirs from the forward sets in tree._local_graphs, which
-equal rows(g, ids). Vertices are always addressed by id; induced
-subgraphs and their rows relabel to 0..k-1 preserving the relative
-order of the surviving ids, which keeps min-degree tie-breaking
-consistent between a graph and its subgraphs.
+the whole graph or for one vertex set, such as a dense window; the local
+graphs of a root split get theirs from the forward sets in
+tree._local_graphs, which equal rows(g, ids). Vertices are always
+addressed by id; induced subgraphs and their rows relabel to 0..k-1
+preserving the relative order of the surviving ids, which keeps
+min-degree tie-breaking consistent between a graph and its subgraphs.
 """
 
 from __future__ import annotations
@@ -217,6 +216,15 @@ def mask_vertices(mask: int) -> list[int]:
     return out
 
 
+def _kept_ids(g: Graph, vertices: Iterable[int]) -> list[int]:
+    """The distinct ids in sorted order; an id outside 0..n-1 raises
+    ValueError."""
+    keep = sorted(set(vertices))
+    if keep and not (0 <= keep[0] and keep[-1] < g.n):
+        raise ValueError(f"vertex ids outside 0..{g.n - 1}")
+    return keep
+
+
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Induced subgraph on the given vertex set, relabelled to 0..k-1.
 
@@ -224,8 +232,13 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     the subgraph's vertex i. The map is sorted, so relative id order (and
     with it min-degree tie-breaking) is preserved.
     """
-    new_to_old = tuple(sorted(set(vertices)))
-    return Graph(len(new_to_old), _row_edges(rows(g, new_to_old))), new_to_old
+    new_to_old = tuple(_kept_ids(g, vertices))
+    pos = {v: i for i, v in enumerate(new_to_old)}
+    kept = frozenset(new_to_old)
+    edges = [
+        (i, pos[u]) for i, v in enumerate(new_to_old) for u in g.adj[v] & kept if u > v
+    ]
+    return Graph(len(new_to_old), edges), new_to_old
 
 
 def _row_edges(bits) -> list[tuple[int, int]]:
@@ -246,9 +259,7 @@ def rows(g: Graph, vertices: Iterable[int] | None = None) -> list[int]:
     neighbours with the kept set, which walks the smaller side, so a hub
     costs only the size of the kept set.
     """
-    keep = range(g.n) if vertices is None else sorted(set(vertices))
-    if keep and not (0 <= keep[0] and keep[-1] < g.n):
-        raise ValueError(f"vertex ids outside 0..{g.n - 1}")
+    keep = range(g.n) if vertices is None else _kept_ids(g, vertices)
     pos = {v: i for i, v in enumerate(keep)}
     kept = frozenset(keep)
     out = []

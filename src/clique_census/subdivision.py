@@ -1,14 +1,15 @@
 """Oracles for complete-graph subdivisions and minors.
 
-A one-sided polynomial certificate comes first: an elimination ordering
-of width at most t-2 bounds the treewidth below t-1, which rules out a
-K_t minor and so a K_t-subdivision.  The exact oracles are desk-scale
-searches only.  The subdivision test backtracks over branch
-vertex choices and internally disjoint path assignments; the minor test
-searches for pairwise adjacent families of connected branch sets.  Both
-answer t <= 2 on a graph of any size, since such a model is K_t itself;
-from t = 3 both refuse graphs above an explicit size limit instead of
-silently running for hours.  The dense extraction routine follows the
+Both exact oracles open the same way.  They answer t <= 2 on a graph of
+any size, since such a model is K_t itself.  From t = 3 a one-sided
+polynomial certificate comes first: an elimination ordering of width at
+most t-2 bounds the treewidth below t-1, which rules out a K_t minor and
+so a K_t-subdivision, so both answer None at any size when it holds.
+Only then do they refuse graphs above an explicit size limit instead of
+silently running for hours: the searches are desk-scale only.  The
+subdivision test backtracks over branch vertex choices and internally
+disjoint path assignments; the minor test searches for pairwise adjacent
+families of connected branch sets.  The dense extraction routine follows the
 constructive averaging argument: locate a t-subset whose edge deficit is
 below m/4, then patch each missing edge with a fresh common neighbor.
 """
@@ -239,10 +240,11 @@ def _exhaustive(g: Graph, t: int, oracle_limit: int, what: str, wrap, search):
 
     A negative t or oracle_limit raises ValueError.  A K_t-subdivision
     or K_t minor of order t <= 2 is K_t itself, so t <= 2 is decided on
-    a graph of any size; from t = 3 a graph above oracle_limit vertices
-    raises OracleLimitError naming the `what` search.  A K_t, as an
-    ascending vertex tuple, goes to `wrap`; when the vertices of degree
-    at least t-1 hold none, `search(bits, candidates, t)` decides.
+    a graph of any size.  From t = 3 the elimination certificate answers
+    None at any size when it holds; otherwise a graph above oracle_limit
+    vertices raises OracleLimitError naming the `what` search.  A K_t,
+    as an ascending vertex tuple, goes to `wrap`; when the vertices of
+    degree at least t-1 hold none, `search(bits, candidates, t)` decides.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
@@ -256,6 +258,8 @@ def _exhaustive(g: Graph, t: int, oracle_limit: int, what: str, wrap, search):
         else:
             clique = tuple(range(t)) if g.n >= t else None
         return None if clique is None else wrap(clique)
+    if elimination_certificate(g, t):
+        return None
     if g.n > oracle_limit:
         raise OracleLimitError(
             f"{what} search limited to {oracle_limit} vertices, got {g.n}"
@@ -284,9 +288,10 @@ def has_subdivision(
 ):
     """Exhaustive search for a K_t-subdivision; a witness or None.
 
-    t <= 2 is decided directly on any size of graph.  For t >= 3 the
-    graph must fit under oracle_limit.  Raises ValueError for a negative
-    t or oracle_limit.
+    t <= 2 is decided directly on any size of graph, and so is a graph
+    the elimination certificate proves free.  Any other graph must fit
+    under oracle_limit, or OracleLimitError is raised.  Raises
+    ValueError for a negative t or oracle_limit.
     """
     return _exhaustive(
         g, t, oracle_limit, "subdivision",
@@ -365,8 +370,10 @@ def has_minor(g: Graph, t: int, oracle_limit: int = DEFAULT_MINOR_LIMIT):
 
     Branch sets are disjoint, each induces a connected subgraph, and
     every pair is joined by at least one edge.  t <= 2 is decided
-    directly on any size of graph.  For t >= 3 the graph must fit under
-    oracle_limit.  Raises ValueError for a negative t or oracle_limit.
+    directly on any size of graph, and so is a graph the elimination
+    certificate proves free.  Any other graph must fit under
+    oracle_limit, or OracleLimitError is raised.  Raises ValueError for
+    a negative t or oracle_limit.
     """
     return _exhaustive(
         g, t, oracle_limit, "minor",

@@ -351,6 +351,9 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     for argv in (
         ["check-subdivision", "--construct", "petersen", "--t", "5", "--oracle-limit", "-1"],
         ["check-minor", "--construct", "petersen", "--t", "5", "--oracle-limit", "-1"],
+        # the limit is checked before the certificate, which decides this graph
+        ["check-subdivision", "--construct", "path_power:n=30,k=2", "--t", "5",
+         "--oracle-limit", "-1"],
         ["sparse-check", "--construct", "petersen", "--t", "5", "--exhaustive-limit", "-1"],
         ["audit", "--construct", "petersen", "--t", "5", "--oracle-limit", "-1"],
     ):
@@ -399,7 +402,12 @@ def test_input_that_is_not_utf8_exits_2_with_its_line(capsys, tmp_path):
      "cannot parse input: line 2: invalid UTF-8 byte 0xff"),
     (b'{"family": "complete", "params": {"n": 4.7}}',
      "construction complete needs an integer n, got 4.7"),
-], ids=["no family", "params not an object", "not an object", "not UTF-8", "float n"])
+    (b'{"family": "random_gnp", "params": {"n": 5, "p": "1/0"}}',
+     "bad fraction '1/0': zero denominator"),
+    (b'{"family": "random_gnp", "params": {"n": 5, "p": "1/2"}, "seed": "1/0"}',
+     "bad fraction '1/0': zero denominator"),
+], ids=["no family", "params not an object", "not an object", "not UTF-8", "float n",
+        "zero denominator p", "zero denominator seed"])
 def test_bad_spec_file_exits_2(capsys, tmp_path, content, message):
     spec = tmp_path / "spec.json"
     spec.write_bytes(content)
@@ -416,6 +424,13 @@ def test_bad_spec_file_exits_2(capsys, tmp_path, content, message):
      "construction random_gnp needs an integer seed, got 7.9"),
     ('{"family": "random_gnp", "params": {"n": 12, "p": "1/2"}, "seed": true}',
      "construction random_gnp needs an integer seed, got True"),
+    # a typed rational goes through one parser: no ZeroDivisionError, and
+    # no message of Python's own
+    ("random_gnp:n=5,p=1/0", "bad fraction '1/0': zero denominator"),
+    ("random_gnp:n=5,p=0/0", "bad fraction '0/0': zero denominator"),
+    ("path_power:n=5,k=1/0", "bad fraction '1/0': zero denominator"),
+    ("random_gnp:n=5,p=1/2,seed=1/0", "bad fraction '1/0': zero denominator"),
+    ("random_gnp:n=5,p=abc", "bad fraction 'abc'"),
 ])
 def test_construction_parameter_not_an_integer_exits_2(capsys, tmp_path, spec, message):
     if spec.startswith("{"):  # a spec file
@@ -610,6 +625,10 @@ def test_sparse_check_exit_codes(capsys):
     assert code == 2
     code, _, _ = run(capsys, "sparse-check", "--construct", "complete:n=12")
     assert code == 2
+    for beta, message in (("abc", "bad fraction 'abc'"),
+                          ("1/0", "bad fraction '1/0': zero denominator")):
+        assert run(capsys, "sparse-check", "--construct", "petersen", "--beta", beta,
+                   "--n-threshold", "3") == (2, "", f"error: {message}\n")
 
 
 def test_audit_exit_and_text(capsys):

@@ -4,6 +4,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from clique_census import (
     path_power,
     verify_witness,
 )
+from clique_census import subdivision
 
 from brute import find_subdivision_alt
 from strategies import WORD_EDGE_SIZES, corpus, graphs, grid
@@ -121,7 +123,17 @@ def test_oracle_limit():
     # t <= 2 decides without the limit in both oracles: the model is K_t
     assert has_subdivision(Graph(40, [(0, 1)]), 2) is not None
     assert has_minor(Graph(40, [(0, 1)]), 2) == (frozenset({0}), frozenset({1}))
-    # a negative limit is a usage error at every t, not a limit hit
+    # a graph the elimination certificate proves free is answered at any
+    # size; one it cannot decide is still limited
+    for g, t in ((path_power(40, 2), 4), (cycle(40), 4), (path_power(100, 3), 5)):
+        assert has_subdivision(g, t) is None
+        assert has_minor(g, t) is None
+    # a negative limit is a usage error at every t, not a limit hit, even
+    # where the certificate would decide
+    with pytest.raises(ValueError):
+        has_subdivision(path_power(40, 2), 4, oracle_limit=-1)
+    with pytest.raises(ValueError):
+        has_minor(path_power(40, 2), 4, oracle_limit=-1)
     for t in (2, 4):
         with pytest.raises(ValueError):
             has_subdivision(k(3), t, oracle_limit=-1)
@@ -242,10 +254,13 @@ def small_constructions():
 
 
 def assert_certificate_sound(g, t, oracle_limit=16):
-    """The certificate never holds on a graph the oracle finds a witness in;
-    returns whether it held."""
+    """The certificate never holds on a graph the search finds a witness in;
+    returns whether it held.  The oracles' opening runs the certificate
+    itself, so the search is asked with it switched off there."""
     if elimination_certificate(g, t):
-        assert has_subdivision(g, t, oracle_limit=oracle_limit) is None, (g, t)
+        with mock.patch.object(subdivision, "elimination_certificate",
+                               lambda g, t: False):
+            assert has_subdivision(g, t, oracle_limit=oracle_limit) is None, (g, t)
         return True
     return False
 
