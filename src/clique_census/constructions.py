@@ -215,7 +215,11 @@ def generate(spec: ConstructionSpec) -> Graph:
     build, keys, _ = _family(spec.family)
     args = [_int_param(spec, key) for key in keys]
     if spec.family == "random_gnp":
-        args += [_param(spec, "p"), 0 if spec.seed is None else spec.seed]
+        p = _param(spec, "p")
+        # a bool is an int, but not a probability
+        if isinstance(p, bool) or not isinstance(p, (int, float, Fraction)):
+            raise ValueError(f"construction random_gnp needs a rational p, got {p}")
+        args += [p, 0 if spec.seed is None else spec.seed]
     return build(*args)
 
 

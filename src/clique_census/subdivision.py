@@ -8,10 +8,11 @@ so a K_t-subdivision, so both answer None at any size when it holds.
 Only then do they refuse graphs above an explicit size limit instead of
 silently running for hours: the searches are desk-scale only.  The
 subdivision test backtracks over branch vertex choices and internally
-disjoint path assignments; the minor test searches for pairwise adjacent
-families of connected branch sets.  The dense extraction routine follows the
-constructive averaging argument: locate a t-subset whose edge deficit is
-below m/4, then patch each missing edge with a fresh common neighbor.
+disjoint path assignments; the minor test contracts a partition of the
+vertices until its quotient holds a K_t.  The dense extraction routine
+follows the constructive averaging argument: locate a t-subset whose
+edge deficit is below m/4, then patch each missing edge with a fresh
+common neighbor.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import ExtractionError, OracleLimitError
-from .graph import DegeneracyResult, Graph, degeneracy, rows
+from .graph import DegeneracyResult, Graph, degeneracy, mask_vertices, rows
 
 DEFAULT_SUBDIVISION_LIMIT = 16
 DEFAULT_MINOR_LIMIT = 14
@@ -300,73 +301,67 @@ def has_subdivision(
     )
 
 
-def _connected_subsets(bits) -> list[int]:
-    """All nonempty vertex subsets inducing a connected subgraph, as masks,
-    of the graph whose adjacency rows are `bits`."""
-    out = []
-    for mask in range(1, 1 << len(bits)):
-        low = mask & -mask
-        seen = low
-        frontier = low
-        while frontier:
-            grow = 0
-            m = frontier
-            while m:
-                lw = m & -m
-                m ^= lw
-                grow |= bits[lw.bit_length() - 1]
-            frontier = grow & mask & ~seen
-            seen |= frontier
-        if seen == mask:
-            out.append(mask)
-    return out
-
-
 def _minor_model(bits, candidates: list[int], t: int):
-    """First family of t pairwise adjacent disjoint connected vertex sets
-    of the graph whose adjacency rows are `bits`, as vertex sets.
+    """First K_t model of the graph whose adjacency rows are `bits`, as
+    vertex sets in increasing order of their least vertex, else None.
 
+    A model inside one component can absorb every other vertex of that
+    component into an adjacent branch set, so if a model exists, some
+    model coarsens the singleton partition of the vertices, less whole
+    components.  The search contracts that partition and remembers the
+    partitions that failed.  A quotient with fewer than t parts or fewer
+    than C(t,2) edges holds no K_t minor, and an isolated part, a whole
+    component, is dropped.  Unless the parts of quotient degree >= t-1
+    hold a K_t, a part v of least degree is merged with each neighbour
+    in turn when its degree is below t-1, since alone it would miss a
+    branch set; otherwise every adjacent pair is merged in turn.
     candidates goes unused: a branch set of several vertices may hold
     vertices of any degree.
     """
-    sets = _connected_subsets(bits)
-    sets.sort(key=lambda m: (m.bit_count(), m & -m, m))
-    nbr = {}
-    for mask in sets:
-        reach = 0
-        m = mask
-        while m:
-            low = m & -m
-            m ^= low
-            reach |= bits[low.bit_length() - 1]
-        nbr[mask] = reach & ~mask
+    failed: set[tuple[int, ...]] = set()
 
-    def rec(chosen: list[int], used: int, min_floor: int):
-        if len(chosen) == t:
-            return tuple(chosen)
-        for mask in sets:
-            if mask & used:
-                continue
-            if (mask & -mask) <= min_floor:
-                continue
-            if any(not (mask & nbr[c]) for c in chosen):
-                continue
-            got = rec(chosen + [mask], used | mask, mask & -mask)
-            if got is not None:
-                return got
+    def rec(parts: tuple[int, ...]):
+        if len(parts) < t or parts in failed:
+            return None
+        quotient = []
+        for mask in parts:
+            reach = 0
+            for v in mask_vertices(mask):
+                reach |= bits[v]
+            reach &= ~mask
+            quotient.append(sum(1 << j for j, p in enumerate(parts) if reach & p))
+        degree = [row.bit_count() for row in quotient]
+        if sum(degree) >= t * (t - 1):
+            if 0 in degree:
+                return rec(tuple(p for p, d in zip(parts, degree) if d))
+            hubs = [i for i, d in enumerate(degree) if d >= t - 1]
+            clique = _find_clique(quotient, hubs, t)
+            if clique is not None:
+                return [parts[i] for i in clique]
+            v = degree.index(min(degree))
+            if degree[v] < t - 1:
+                pairs = [(v, u) for u in mask_vertices(quotient[v])]
+            else:
+                pairs = [(i, j) for i, row in enumerate(quotient)
+                         for j in mask_vertices(row) if i < j]
+            for i, j in pairs:
+                rest = [p for h, p in enumerate(parts) if h != i and h != j]
+                got = rec(tuple(sorted(rest + [parts[i] | parts[j]])))
+                if got is not None:
+                    return got
+        failed.add(parts)
         return None
 
-    model = rec([], 0, 0)
+    model = rec(tuple(1 << v for v in range(len(bits))))
     if model is None:
         return None
-    return tuple(
-        frozenset(v for v in range(len(bits)) if (mask >> v) & 1)
-        for mask in model
-    )
+    model.sort(key=lambda mask: mask & -mask)
+    return tuple(frozenset(mask_vertices(mask)) for mask in model)
 
 
 def has_minor(g: Graph, t: int, oracle_limit: int = DEFAULT_MINOR_LIMIT):
-    """Brute-force K_t-minor search; a tuple of branch sets or None.
+    """Exhaustive K_t-minor search by contraction; a tuple of branch sets
+    or None.
 
     Branch sets are disjoint, each induces a connected subgraph, and
     every pair is joined by at least one edge.  t <= 2 is decided

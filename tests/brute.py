@@ -200,6 +200,93 @@ def find_subdivision_alt(g, t) -> bool:
     return False
 
 
+def _connected_subsets(nbr) -> list[int]:
+    """All nonempty vertex subsets inducing a connected subgraph, as masks,
+    of the graph whose adjacency rows are `nbr`."""
+    out = []
+    for mask in range(1, 1 << len(nbr)):
+        low = mask & -mask
+        seen = low
+        frontier = low
+        while frontier:
+            grow = 0
+            m = frontier
+            while m:
+                lw = m & -m
+                m ^= lw
+                grow |= nbr[lw.bit_length() - 1]
+            frontier = grow & mask & ~seen
+            seen |= frontier
+        if seen == mask:
+            out.append(mask)
+    return out
+
+
+def find_minor_alt(g, t):
+    """Second opinion on K_t minors: the first family of t pairwise
+    adjacent disjoint connected vertex sets, as frozensets, else None.
+
+    Enumerates every connected vertex set (all 2^n masks), then searches
+    for an unordered family of them, each set's least vertex above the
+    previous one's.  Exponential; keep n tiny.
+    """
+    nbr = adjacency_masks(g)
+    sets = _connected_subsets(nbr)
+    sets.sort(key=lambda m: (m.bit_count(), m & -m, m))
+    reach = {}
+    for mask in sets:
+        r = 0
+        for v in mask_vertices(mask):
+            r |= nbr[v]
+        reach[mask] = r & ~mask
+
+    def rec(chosen: list[int], used: int, min_floor: int):
+        if len(chosen) == t:
+            return tuple(chosen)
+        for mask in sets:
+            if mask & used:
+                continue
+            if (mask & -mask) <= min_floor:
+                continue
+            if any(not (mask & reach[c]) for c in chosen):
+                continue
+            got = rec(chosen + [mask], used | mask, mask & -mask)
+            if got is not None:
+                return got
+        return None
+
+    model = rec([], 0, 0)
+    if model is None:
+        return None
+    return tuple(frozenset(mask_vertices(mask)) for mask in model)
+
+
+def is_valid_minor_model(g, parts, t):
+    """Check the minor-model definition directly."""
+    if len(parts) != t:
+        return False
+    seen = set()
+    for part in parts:
+        if not part or part & seen:
+            return False
+        seen |= part
+        root = next(iter(part))
+        reach = {root}
+        frontier = [root]
+        while frontier:
+            v = frontier.pop()
+            for u in g.adj[v]:
+                if u in part and u not in reach:
+                    reach.add(u)
+                    frontier.append(u)
+        if reach != part:
+            return False
+    return all(
+        any(g.has_edge(u, v) for u in a for v in b)
+        for a, b in combinations(parts, 2)
+    )
+
+
 def contains(tree: CliqueSearchTree, node: CliqueTreeNode) -> bool:
     i = node.index - tree.root.index
     return 0 <= i < len(tree.nodes) and tree.nodes[i] is node

@@ -41,6 +41,8 @@ from clique_census import (
 from brute import (
     RootedSubtree,
     brute_census,
+    find_minor_alt,
+    is_valid_minor_model,
     subtree_at,
     subtree_bound_check,
     trees_isomorphic,
@@ -164,32 +166,6 @@ def minor_model_from_witness(w):
     return [frozenset(part) for part in parts.values()]
 
 
-def is_valid_minor_model(g, parts, t):
-    """Check the minor-model definition directly."""
-    if len(parts) != t:
-        return False
-    seen = set()
-    for part in parts:
-        if not part or part & seen:
-            return False
-        seen |= part
-        root = next(iter(part))
-        reach = {root}
-        frontier = [root]
-        while frontier:
-            v = frontier.pop()
-            for u in g.adj[v]:
-                if u in part and u not in reach:
-                    reach.add(u)
-                    frontier.append(u)
-        if reach != part:
-            return False
-    return all(
-        any(g.has_edge(u, v) for u in a for v in b)
-        for a, b in combinations(parts, 2)
-    )
-
-
 def test_containment_oracles_sanity_and_implication():
     start = time.perf_counter()
     assert has_subdivision(complete(5), 5) is not None
@@ -210,6 +186,14 @@ def test_containment_oracles_sanity_and_implication():
             assert is_valid_minor_model(g, minor_model_from_witness(w), t)
             if g.n <= 14:
                 assert has_minor(g, t) is not None
+    # on the smaller graphs the minor oracle agrees with an independent
+    # search over all connected vertex sets
+    for g in corpus():
+        if g.n <= 11:
+            for t in (3, 4, 5):
+                parts = has_minor(g, t)
+                assert (parts is None) == (find_minor_alt(g, t) is None)
+                assert parts is None or is_valid_minor_model(g, parts, t)
     assert time.perf_counter() - start < 120.0
 
 

@@ -406,8 +406,12 @@ def test_input_that_is_not_utf8_exits_2_with_its_line(capsys, tmp_path):
      "bad fraction '1/0': zero denominator"),
     (b'{"family": "random_gnp", "params": {"n": 5, "p": "1/2"}, "seed": "1/0"}',
      "bad fraction '1/0': zero denominator"),
+    (b'{"family": "random_gnp", "params": {"n": 5, "p": true}}',
+     "construction random_gnp needs a rational p, got True"),
+    (b'{"family": "random_gnp", "params": {"n": 5, "p": null}}',
+     "construction random_gnp needs a rational p, got None"),
 ], ids=["no family", "params not an object", "not an object", "not UTF-8", "float n",
-        "zero denominator p", "zero denominator seed"])
+        "zero denominator p", "zero denominator seed", "boolean p", "null p"])
 def test_bad_spec_file_exits_2(capsys, tmp_path, content, message):
     spec = tmp_path / "spec.json"
     spec.write_bytes(content)

@@ -28,7 +28,7 @@ from clique_census import (
 )
 from clique_census import subdivision
 
-from brute import find_subdivision_alt
+from brute import find_minor_alt, find_subdivision_alt, is_valid_minor_model
 from strategies import WORD_EDGE_SIZES, corpus, graphs, grid
 
 
@@ -190,6 +190,65 @@ def test_subdivision_implies_minor(g):
                              tuple(frozenset({v}) for v in w.branch))
 
 
+def search_only():
+    """Switch the elimination certificate off in the oracles' opening, so
+    that their search alone answers."""
+    return mock.patch.object(subdivision, "elimination_certificate",
+                             lambda g, t: False)
+
+
+@given(graphs(max_n=9))
+@settings(max_examples=100, deadline=None)
+def test_minor_agrees_with_alternative_search(g):
+    for t in range(3, 7):
+        want = find_minor_alt(g, t)
+        assert want is None or is_valid_minor_model(g, want, t)
+        with search_only():
+            searched = has_minor(g, t)
+        for parts in (has_minor(g, t), searched):
+            assert (parts is None) == (want is None), (g.edges(), t)
+            assert parts is None or is_valid_minor_model(g, parts, t)
+
+
+def disjoint_union(*graphs):
+    edges, n = [], 0
+    for g in graphs:
+        edges += [(u + n, v + n) for u, v in g.edges()]
+        n += g.n
+    return Graph(n, edges)
+
+
+def test_minor_search_on_several_components():
+    # a model lives in one component; the others must be dropped whole
+    c4_edge = Graph(9, [(0, 2), (2, 8), (8, 6), (6, 0), (1, 3)])
+    for g, t, oracle_limit, found in (
+        (disjoint_union(cycle(4), k(2)), 3, 14, True),
+        (c4_edge, 3, 14, True),
+        (disjoint_union(petersen(), k(2)), 5, 14, True),
+        (disjoint_union(k(2), petersen()), 5, 14, True),
+        (disjoint_union(petersen(), petersen()), 6, 20, False),
+    ):
+        with search_only():
+            parts = has_minor(g, t, oracle_limit=oracle_limit)
+        assert (parts is not None) == found, (g.edges(), t)
+        assert parts is None or is_valid_minor_model(g, parts, t)
+
+
+def test_minor_search_time_on_uncertified_inputs():
+    # each input defeats the elimination certificate, so the search decides
+    for g, t, oracle_limit, found in (
+        (corpus()[4], 6, 14, False),
+        (grid(4, 4), 5, 16, False),  # planar
+        (grid(4, 4), 4, 16, True),
+    ):
+        assert not elimination_certificate(g, t)
+        start = time.perf_counter()
+        parts = has_minor(g, t, oracle_limit=oracle_limit)
+        assert time.perf_counter() - start < 1.0
+        assert (parts is not None) == found
+        assert parts is None or is_valid_minor_model(g, parts, t)
+
+
 def test_verify_witness_rejects_junk():
     g = k(4)
     good = has_subdivision(g, 3)
@@ -258,8 +317,7 @@ def assert_certificate_sound(g, t, oracle_limit=16):
     returns whether it held.  The oracles' opening runs the certificate
     itself, so the search is asked with it switched off there."""
     if elimination_certificate(g, t):
-        with mock.patch.object(subdivision, "elimination_certificate",
-                               lambda g, t: False):
+        with search_only():
             assert has_subdivision(g, t, oracle_limit=oracle_limit) is None, (g, t)
         return True
     return False
