@@ -27,6 +27,7 @@ from .graph import induced_subgraph  # noqa: F401  unused here; traced by this n
 from .sparsity import _as_fraction
 from .subdivision import (
     DEFAULT_SUBDIVISION_LIMIT,
+    _require_int,
     elimination_certificate,
     extract_subdivision_dense,
     has_subdivision,
@@ -54,13 +55,18 @@ _DISPLAY = Context(prec=15, rounding=ROUND_HALF_UP, Emax=MAX_EMAX, Emin=MIN_EMIN
 
 @dataclass(frozen=True)
 class AuditConfig:
-    """Audit parameters; t below 4 short-circuits to the forest case."""
+    """Audit parameters; t below 4 short-circuits to the forest case.
+
+    t and oracle_limit must be ints, not bools: anything else raises
+    TypeError."""
 
     t: int
     assume_subdivision_free: bool = False
     oracle_limit: int = DEFAULT_SUBDIVISION_LIMIT
 
     def __post_init__(self):
+        _require_int("t", self.t)
+        _require_int("oracle_limit", self.oracle_limit)
         if self.t < 1:
             raise ValueError("audit needs t >= 1")
         if self.oracle_limit < 0:
@@ -555,11 +561,11 @@ def audit_boundary_cases(skeleton: Skeleton, cfg: AuditConfig, g: Graph):
     small_child_max = 0
     have_fallback_nodes = False
     # the checks of a window, named "window-...": t and the flags are the
-    # same for the whole call, so windows with equal rows and clique
-    # counts get equal checks, and each such pair is audited once. The
-    # rows are built once per (vertex set, clique count).
-    window_checks: dict[tuple[tuple[int, ...], int], list[AuditCheck]] = {}
-    window_keys: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]] = {}
+    # same for the whole call, and the rows fix the clique count, so
+    # windows with equal rows get equal checks and each rows tuple is
+    # audited once. The rows are built once per vertex set.
+    window_checks: dict[tuple[int, ...], list[AuditCheck]] = {}
+    window_rows: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     for node in skeleton.boundary_nodes():
         label_size = node.label_size
@@ -592,13 +598,13 @@ def audit_boundary_cases(skeleton: Skeleton, cfg: AuditConfig, g: Graph):
                 window_tree_size=window_count,
             )
         )
-        ids = (tuple(sorted(window)), window_count)
-        key = window_keys.get(ids)
+        ids = tuple(sorted(window))
+        key = window_rows.get(ids)
         if key is None:
-            key = window_keys[ids] = (tuple(rows(g, window)), window_count)
+            key = window_rows[ids] = tuple(rows(g, window))
         if key not in window_checks:
             window_checks[key] = audit_dense_window(
-                key[0],
+                key,
                 t,
                 window_count=window_count,
                 assume_subdivision_free=cfg.assume_subdivision_free,
@@ -700,7 +706,7 @@ def check_binom_sum_inequality(m: int, k) -> AuditCheck:
     """sum_{i<=floor(k)} C(m, i) <= (e m / k)^k for 0 < k <= m."""
     if m < 1:
         raise ValueError("need m >= 1")
-    k = Fraction(k)
+    k = _as_fraction(k)
     if not 0 < k <= m:
         raise ValueError("need 0 < k <= m")
     lhs = sum(comb(m, i) for i in range(floor(k) + 1))

@@ -86,9 +86,9 @@ def parse_graph(text: str) -> Graph:
 
     Lines starting with '#' are comments. Duplicate edge lines (in either
     orientation) collapse to one edge; the declared m must equal the count
-    after deduplication.
+    after deduplication, or the error names the header's line.
     """
-    header: tuple[int, int] | None = None
+    header: tuple[int, int, int] | None = None  # n, m and the line number
     edges: list[tuple[int, int]] = []
     n = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -105,7 +105,7 @@ def parse_graph(text: str) -> Graph:
         if header is None:
             if a < 0 or b < 0:
                 raise GraphParseError("header counts must be nonnegative", line_no)
-            header = (a, b)
+            header = (a, b, line_no)
             n = a
             continue
         if a == b:
@@ -119,7 +119,7 @@ def parse_graph(text: str) -> Graph:
     if g.edge_count != header[1]:
         raise GraphParseError(
             f"declared {header[1]} edges but found {g.edge_count} after deduplication",
-            None,
+            header[2],
         )
     return g
 

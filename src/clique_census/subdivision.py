@@ -10,25 +10,25 @@ silently running for hours: the searches are desk-scale only.  The
 subdivision test backtracks over branch vertex choices and internally
 disjoint path assignments; the minor test contracts a partition of the
 vertices until its quotient holds a K_t.  The dense extraction routine
-follows the constructive averaging argument: locate a t-subset whose
-edge deficit is below m/4, then patch each missing edge with a fresh
-common neighbor.
+follows the constructive averaging argument in one derandomized pass:
+the method of conditional expectations picks a t-subset whose edge
+deficit is at most the average over all t-subsets, then each missing
+edge is patched with a fresh common neighbor.  On a window of minimum
+degree >= 9m/10 with 11m >= 20t and 5m > t(t-1) the deficit is below
+m/4 and the patching always succeeds; outside that premise either step
+may fail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 from .errors import ExtractionError, OracleLimitError
 from .graph import DegeneracyResult, Graph, degeneracy, mask_vertices, rows
 
 DEFAULT_SUBDIVISION_LIMIT = 16
 DEFAULT_MINOR_LIMIT = 14
-
-# exhaustive t-subset scans are attempted only below this many subsets
-EXHAUSTIVE_SUBSET_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -236,17 +236,27 @@ def elimination_certificate(
     return True
 
 
+def _require_int(name: str, value) -> None:
+    """TypeError naming the parameter unless value is an int; a bool is
+    an int, but not a count."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 def _exhaustive(g: Graph, t: int, oracle_limit: int, what: str, wrap, search):
     """The opening both exhaustive oracles share, then the oracle's search.
 
-    A negative t or oracle_limit raises ValueError.  A K_t-subdivision
-    or K_t minor of order t <= 2 is K_t itself, so t <= 2 is decided on
-    a graph of any size.  From t = 3 the elimination certificate answers
-    None at any size when it holds; otherwise a graph above oracle_limit
-    vertices raises OracleLimitError naming the `what` search.  A K_t,
+    A t or oracle_limit that is not an int raises TypeError, a negative
+    one ValueError.  A K_t-subdivision or K_t minor of order t <= 2 is
+    K_t itself, so t <= 2 is decided on a graph of any size.  From t = 3
+    the elimination certificate answers None at any size when it holds;
+    otherwise a graph above oracle_limit vertices raises
+    OracleLimitError naming the `what` search.  A K_t,
     as an ascending vertex tuple, goes to `wrap`; when the vertices of
     degree at least t-1 hold none, `search(bits, candidates, t)` decides.
     """
+    _require_int("t", t)
+    _require_int("oracle_limit", oracle_limit)
     if t < 0:
         raise ValueError("t must be non-negative")
     if oracle_limit < 0:
@@ -292,7 +302,8 @@ def has_subdivision(
     t <= 2 is decided directly on any size of graph, and so is a graph
     the elimination certificate proves free.  Any other graph must fit
     under oracle_limit, or OracleLimitError is raised.  Raises
-    ValueError for a negative t or oracle_limit.
+    TypeError for a t or oracle_limit that is not an int, ValueError
+    for a negative one.
     """
     return _exhaustive(
         g, t, oracle_limit, "subdivision",
@@ -367,8 +378,9 @@ def has_minor(g: Graph, t: int, oracle_limit: int = DEFAULT_MINOR_LIMIT):
     every pair is joined by at least one edge.  t <= 2 is decided
     directly on any size of graph, and so is a graph the elimination
     certificate proves free.  Any other graph must fit under
-    oracle_limit, or OracleLimitError is raised.  Raises ValueError for
-    a negative t or oracle_limit.
+    oracle_limit, or OracleLimitError is raised.  Raises TypeError for
+    a t or oracle_limit that is not an int, ValueError for a negative
+    one.
     """
     return _exhaustive(
         g, t, oracle_limit, "minor",
@@ -382,9 +394,24 @@ def extract_subdivision_dense(g: Graph, t: int) -> SubdivisionWitness:
 
     Requires m >= 20t/11 together with either minimum degree >= (9/10)m
     or m > max{20t/11, t^2/5}; the second alternative is how a caller
-    asserts that the sparsity conclusion is already violated.  Finds a
-    t-subset Y with 4*e(Y) > 4*C(t,2) - m, then one fresh common
-    neighbor per missing edge of Y.
+    asserts that the sparsity conclusion is already violated.  One
+    derandomized pass picks a t-subset Y, then each missing edge of Y
+    gets one fresh common neighbor.
+
+    The pass is the method of conditional expectations applied to a
+    uniform t-subset.  With A the vertices picked so far and R the pool
+    of r vertices left, it picks the v in R that maximizes
+    (r-2)|N(v) & A| + left |N(v) & R|, where `left` picks follow, and
+    the least such v.  Up to a positive factor and terms shared by every
+    v, this is the expected edge count of Y given A + {v}, since
+    m >= 20t/11 keeps r >= 3 at every pick once t >= 2.  The expected
+    number of missing pairs never rises, so Y misses at most
+    C(t,2) * miss(G) / C(m,2) pairs, miss(G) the non-adjacent pairs of
+    g.  When 10 min degree >= 9m, 11m >= 20t and 5m > t(t-1), that is
+    fewer than m/4, so 4*e(Y) > 4*C(t,2) - m; and each missing pair has
+    at least 0.8m + 2 common neighbors while fewer than t + m/4 vertices
+    are in use, so a witness is returned.  Outside that premise either
+    failure, reason "no_dense_subset" or "no_connector", may be raised.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
@@ -401,51 +428,26 @@ def extract_subdivision_dense(g: Graph, t: int) -> SubdivisionWitness:
         )
 
     bits = rows(g)
-    deficit_bar = 2 * t * (t - 1) - m  # want 4*e(Y) > this
-
-    def edges_within(vertices) -> int:
-        total = 0
-        for i, u in enumerate(vertices):
-            for v in vertices[i + 1:]:
-                total += (bits[u] >> v) & 1
-        return total
-
-    subset = None
-    if comb(m, t) <= EXHAUSTIVE_SUBSET_LIMIT:
-        for cand in combinations(range(m), t):
-            if 4 * edges_within(cand) > deficit_bar:
-                subset = cand
-                break
-    else:
-        # greedy densification: repeatedly add the vertex with the most
-        # edges into the part built so far
-        acc: list[int] = []
-        acc_mask = 0
-        for _ in range(t):
-            best = -1
-            best_gain = -1
-            for v in range(m):
-                if (acc_mask >> v) & 1:
-                    continue
-                gain = (bits[v] & acc_mask).bit_count()
-                if gain > best_gain:
-                    best = v
-                    best_gain = gain
-            acc.append(best)
-            acc_mask |= 1 << best
-        acc.sort()
-        if 4 * edges_within(acc) > deficit_bar:
-            subset = tuple(acc)
-    if subset is None:
+    used = 0
+    pool = (1 << m) - 1
+    for left in reversed(range(t)):
+        r = pool.bit_count()
+        # max keeps the least of equal keys
+        v = max(mask_vertices(pool), key=lambda v: (
+            (r - 2) * (bits[v] & used).bit_count()
+            + left * (bits[v] & pool).bit_count()
+        ))
+        used |= 1 << v
+        pool ^= 1 << v
+    subset = tuple(mask_vertices(used))
+    edges = sum((bits[v] & used).bit_count() for v in subset) // 2
+    if 4 * edges <= 2 * t * (t - 1) - m:
         raise ExtractionError(
             f"no {t}-subset found with 4*e(Y) > 4*C(t,2) - n; "
             "the density assumption does not hold",
             reason="no_dense_subset",
         )
 
-    used = 0
-    for v in subset:
-        used |= 1 << v
     paths = []
     for u, v in combinations(subset, 2):
         if (bits[u] >> v) & 1:

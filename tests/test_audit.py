@@ -411,6 +411,20 @@ def test_config_validation():
     assert AuditConfig(t=4, oracle_limit=0).oracle_limit == 0
 
 
+@pytest.mark.parametrize("params, name", [
+    ({"t": 4.5}, "t"),
+    ({"t": 4.0}, "t"),
+    ({"t": True}, "t"),
+    ({"t": Fraction(4)}, "t"),
+    ({"t": 4, "oracle_limit": 2.5}, "oracle_limit"),
+    ({"t": 4, "oracle_limit": False}, "oracle_limit"),
+    ({"t": 4, "oracle_limit": "16"}, "oracle_limit"),
+])
+def test_config_refuses_parameters_that_are_not_ints(params, name):
+    with pytest.raises(TypeError, match=f"^{name} must be an int"):
+        AuditConfig(**params)
+
+
 def test_dense_window_clean_pass():
     # a 10-vertex clique at t = 8: within every window condition
     checks = window_audit(complete(10), 8)
@@ -649,6 +663,12 @@ def test_binom_sum_inequality():
         check_binom_sum_inequality(5, 0)
     with pytest.raises(ValueError):
         check_binom_sum_inequality(5, 6)
+    # a float would be audited as its binary value, 0.1 as 3602879701896397/2^55
+    with pytest.raises(TypeError):
+        check_binom_sum_inequality(10, 0.1)
+    with pytest.raises(TypeError):
+        check_binom_sum_inequality(10, 3.0)
+    assert check_binom_sum_inequality(10, "1/10").lhs == 1
 
 
 def reference_verdict(check, g, t):

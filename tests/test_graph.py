@@ -76,10 +76,12 @@ def test_parse_rejects(text):
         (parse_graph, "3 1\n0 5", "line 2: vertex id out of range in '0 5'", 2),
         (parse_graph, "3 1\n0 1 2", "line 2: expected two integers, got '0 1 2'", 2),
         (parse_graph, "3 1\nx y", "line 2: expected two integers, got 'x y'", 2),
-        (parse_graph, "3 2\n0 1", "declared 2 edges but found 1 after deduplication", None),
+        (parse_graph, "3 2\n0 1", "line 1: declared 2 edges but found 1 after deduplication", 1),
         (parse_graph, "-1 0", "line 1: header counts must be nonnegative", 1),
         (parse_graph, "3 3\n0 1\n1 0\n1 2",
-         "declared 3 edges but found 2 after deduplication", None),
+         "line 1: declared 3 edges but found 2 after deduplication", 1),
+        (parse_graph, "# made by hand\n\n3 2\n0 1",
+         "line 3: declared 2 edges but found 1 after deduplication", 3),
         (parse_dimacs, "p edge 3\ne 1 2", "line 1: bad problem line 'p edge 3'", 1),
         (parse_dimacs, "e 1 2", "line 1: edge line before problem line", 1),
         (parse_dimacs, "p edge 3 1\ne 1 1", "line 2: self-loop at vertex 1", 2),

@@ -141,6 +141,17 @@ def test_oracle_limit():
             has_minor(k(3), t, oracle_limit=-1)
 
 
+@pytest.mark.parametrize("oracle", [has_subdivision, has_minor])
+@pytest.mark.parametrize("t, limit, name", [
+    (4.5, 16, "t"), (True, 16, "t"), (Fraction(4), 16, "t"),
+    (4, 2.5, "oracle_limit"), (4, False, "oracle_limit"),
+    (2.0, 16, "t"), (4, "16", "oracle_limit"),
+])
+def test_oracles_refuse_parameters_that_are_not_ints(oracle, t, limit, name):
+    with pytest.raises(TypeError, match=f"^{name} must be an int"):
+        oracle(k(5), t, oracle_limit=limit)
+
+
 def test_minor_known_instances():
     assert has_minor(petersen(), 5) is not None
     assert has_minor(k(4), 4) is not None
@@ -285,6 +296,90 @@ def test_extraction_preconditions():
     assert err.value.reason == "precondition"
     with pytest.raises(ExtractionError):
         extract_subdivision_dense(Graph(3, []), 4)
+
+
+def dense_graph(m, seed, keep):
+    """K_m less random edges, none of whose removal drops a degree below
+    9m/10; each candidate pair is removed with probability 1 - keep."""
+    rng = random.Random(seed)
+    floor_deg = -(-9 * m // 10)
+    degree = [m - 1] * m
+    pairs = list(combinations(range(m), 2))
+    rng.shuffle(pairs)
+    missing = set()
+    for u, v in pairs:
+        if rng.random() >= keep and min(degree[u], degree[v]) > floor_deg:
+            missing.add((u, v))
+            degree[u] -= 1
+            degree[v] -= 1
+    return Graph(m, [p for p in combinations(range(m), 2) if p not in missing])
+
+
+def in_premise(g, t):
+    """The premise under which the one pass is proved to succeed."""
+    m = g.n
+    min_deg = min(len(a) for a in g.adj)
+    return 10 * min_deg >= 9 * m and 11 * m >= 20 * t and 5 * m > t * (t - 1)
+
+
+# below 10 vertices a minimum degree of 9m/10 exceeds m - 1
+@given(st.integers(10, 40), st.integers(0, 2**32), st.floats(0, 1), st.data())
+@settings(max_examples=150, deadline=None)
+def test_extraction_succeeds_under_its_premise(m, seed, keep, data):
+    top = max(t for t in range(11 * m // 20 + 1) if t * (t - 1) < 5 * m)
+    t = data.draw(st.integers(0, top))
+    g = dense_graph(m, seed, keep)
+    assert in_premise(g, t)
+    w = extract_subdivision_dense(g, t)
+    assert verify_witness(g, w, t)
+
+
+@pytest.mark.parametrize("g, t", [
+    (k_minus_matching(40), 14),
+    (k(30), 12),
+    (dense_graph(36, 7, 0.0), 13),
+    (dense_graph(40, 11, 0.5), 14),
+])
+def test_extraction_beyond_a_million_subsets(g, t):
+    # far more t-subsets than any scan could try: C(40, 14) > 10^10
+    assert in_premise(g, t)
+    start = time.perf_counter()
+    w = extract_subdivision_dense(g, t)
+    assert time.perf_counter() - start < 1.0
+    assert verify_witness(g, w, t)
+
+
+def test_extraction_meets_the_average():
+    # m > max(20t/11, t^2/5) passes the gate at any degree; the chosen Y
+    # misses at most the average C(t,2) miss(G) / C(m,2) pairs
+    for seed in range(1000):
+        rng = random.Random(seed)
+        m, p = rng.randint(10, 30), rng.random()
+        top = max(t for t in range(m) if t * t < 5 * m and 20 * t < 11 * m)
+        t = rng.randint(2, top)
+        g = Graph(m, [e for e in combinations(range(m), 2) if rng.random() < p])
+        miss = m * (m - 1) // 2 - g.edge_count
+        try:
+            w = extract_subdivision_dense(g, t)
+        except ExtractionError as err:
+            if err.reason == "no_dense_subset":
+                # the bar, 4 missing(Y) < m, is below the average too
+                assert 4 * t * (t - 1) * miss >= m * m * (m - 1), seed
+            continue
+        assert verify_witness(g, w, t), seed
+        missing = sum(len(path) == 3 for path in w.paths)
+        assert missing * m * (m - 1) <= t * (t - 1) * miss, seed
+
+
+def test_extraction_is_not_led_by_the_least_vertex():
+    # K_5 on 0..4 beside a K_25, t = 10: adding the vertex with the most
+    # neighbours in the set from vertex 0 on takes the K_5 and misses 25
+    # pairs; the average is 90 * 125 / 870 < 13, and the pass keeps to
+    # the K_25
+    g = disjoint_union(k(5), k(25))
+    w = extract_subdivision_dense(g, 10)
+    assert min(w.branch) >= 5 and all(len(path) == 2 for path in w.paths)
+    assert verify_witness(g, w, 10)
 
 
 def test_extraction_failure_reports_reason():
