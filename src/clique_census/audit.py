@@ -543,23 +543,26 @@ def audit_dense_window(
 
 
 def audit_boundary_cases(skeleton: Skeleton, cfg: AuditConfig, g: Graph):
-    """Classify each boundary node and check its hanging-size bound.
+    """Classify each boundary node and bound each subtree hanging from it.
 
-    Small-label and small-children cases aggregate into two checks over
-    all such nodes; each dense window gets its own check group.  The
-    small_children case covers boundary nodes whose label is large but
-    whose children all fell below both membership thresholds.  Returns
-    the cases, the checks and the largest hanging-subtree bound M: the
-    largest window tree size, 2^(sqrt(10) t) if any node is a small_label
-    or small_children case, and at least 1.
+    The cap 2^(sqrt(10) t) bounds the subtree of a small_label node,
+    label size at most sqrt(10) t, and so every subtree it hangs.  It
+    also bounds every excluded child outside a dense window: those
+    before the window's start, or all of them at a small_children node,
+    whose label is large but which has no window.  A window's children
+    are bounded by the window's clique count.  The cap-bounded sizes
+    aggregate into two checks; each dense window gets its own check
+    group.  Returns the cases, the checks and M, the largest bound on a
+    hanging subtree: the cap when some subtree is cap-bounded and no
+    window count exceeds the cap, else max(1, largest window count).
     """
     t = cfg.t
     cases: list[BoundaryCase] = []
     checks: list[AuditCheck] = []
     largest_window = 0
+    # the largest cap-bounded sizes; a subtree has a node, so 0 means none
     small_label_max = 0
     small_child_max = 0
-    have_fallback_nodes = False
     # the checks of a window, named "window-...": t and the flags are the
     # same for the whole call, and the rows fix the clique count, so
     # windows with equal rows get equal checks and each rows tuple is
@@ -570,20 +573,17 @@ def audit_boundary_cases(skeleton: Skeleton, cfg: AuditConfig, g: Graph):
     for node in skeleton.boundary_nodes():
         label_size = node.label_size
         if label_size * label_size <= 10 * t * t:
-            have_fallback_nodes = True
             small_label_max = max(small_label_max, node.size)
-            cases.append(
-                BoundaryCase(node.index, label_size, "small_label")
-            )
+            cases.append(BoundaryCase(node.index, label_size, "small_label"))
             continue
         start = _window_start(node)
-        if start is None:
-            have_fallback_nodes = True
-            for pos in node.excluded():
+        # the cap bounds an excluded child outside the window, the
+        # window's count one inside it
+        for pos in node.excluded():
+            if start is None or pos < start:
                 small_child_max = max(small_child_max, node.child_sizes[pos])
-            cases.append(
-                BoundaryCase(node.index, label_size, "small_children")
-            )
+        if start is None:
+            cases.append(BoundaryCase(node.index, label_size, "small_children"))
             continue
         window = node.child_vertices[start:]
         # the tree of G[window] is this node's child loop from `start` on
@@ -616,10 +616,6 @@ def audit_boundary_cases(skeleton: Skeleton, cfg: AuditConfig, g: Graph):
                        c.anchor, c.note)
             for c in window_checks[key]
         )
-        # children preceding the window fell below the small threshold
-        for pos in node.excluded():
-            if pos < start:
-                small_child_max = max(small_child_max, node.child_sizes[pos])
 
     cap = _real(_cap, t)
     checks[:0] = [
@@ -641,7 +637,7 @@ def audit_boundary_cases(skeleton: Skeleton, cfg: AuditConfig, g: Graph):
         ),
     ]
     hanging = max(1, largest_window)
-    if have_fallback_nodes and _at_most(hanging, _cap, t):
+    if (small_label_max or small_child_max) and _at_most(hanging, _cap, t):
         return cases, checks, cap
     return cases, checks, hanging
 

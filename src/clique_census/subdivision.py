@@ -96,9 +96,8 @@ def verify_witness(g: Graph, w: SubdivisionWitness, t: int) -> bool:
 
 
 def _find_clique(bits: list[int], candidates: list[int], k: int):
-    """First k-clique within candidates as an ascending tuple, else None."""
-    if k == 0:
-        return ()
+    """First k-clique within candidates as an ascending tuple, else None;
+    k >= 1."""
 
     def rec(mask: int, acc: list[int]):
         if len(acc) + mask.bit_count() < k:
@@ -412,11 +411,14 @@ def extract_subdivision_dense(g: Graph, t: int) -> SubdivisionWitness:
     at least 0.8m + 2 common neighbors while fewer than t + m/4 vertices
     are in use, so a witness is returned.  Outside that premise either
     failure, reason "no_dense_subset" or "no_connector", may be raised.
+    A t that is not an int raises TypeError, a negative one ValueError.
     """
+    _require_int("t", t)
     if t < 0:
         raise ValueError("t must be non-negative")
     m = g.n
-    min_deg = min((len(g.adj[v]) for v in range(m)), default=0)
+    bits = rows(g)
+    min_deg = min((row.bit_count() for row in bits), default=0)
     ok_size = 11 * m >= 20 * t
     ok_degree = 10 * min_deg >= 9 * m
     ok_oversize = 11 * m > 20 * t and 5 * m > t * t
@@ -427,7 +429,6 @@ def extract_subdivision_dense(g: Graph, t: int) -> SubdivisionWitness:
             reason="precondition",
         )
 
-    bits = rows(g)
     used = 0
     pool = (1 << m) - 1
     for left in reversed(range(t)):

@@ -22,6 +22,7 @@ from clique_census import (
     AuditCheck,
     CapacityError,
     AuditConfig,
+    ExtractionError,
     audit_dense_window,
     audit_graph,
     bound_degenerate,
@@ -32,6 +33,8 @@ from clique_census import (
     complete,
     complete_multipartite_222,
     count_cliques,
+    cycle,
+    extract_subdivision_dense,
     path_power,
     petersen,
     random_gnp,
@@ -140,18 +143,23 @@ def assert_skeleton_matches_tree(g, t):
                         for pos in node.excluded())
     assert streamed == [(c.index, sizes[c.index]) for c in excluded]
     cfg = AuditConfig(t=t, assume_subdivision_free=True)
-    cases, checks, *_ = audit_module.audit_boundary_cases(skel, cfg, g)
+    cases, checks, hanging = audit_module.audit_boundary_cases(skel, cfg, g)
     boundary = [tree.nodes[i] for i in sorted(want)
                 if any(c.index not in want for c in tree.nodes[i].children)]
     assert [(c.node, c.label_size, c.case) for c in cases] == [
         (node.index, node.label_size, tree_case(node, t)) for node in boundary
     ]
-    # the hanging sizes behind the two aggregate boundary checks
+    # the hanging sizes behind the two aggregate boundary checks, and the
+    # bound each hanging subtree gets: the cap, or its window's count
     small_label = small_child = 0
+    windows = [1]
+    bounded = []  # (hanging size, its window's count or None for the cap)
     for node, streamed_case in zip(boundary, cases):
         case = tree_case(node, t)
         if case == "small_label":
             small_label = max(small_label, sizes[node.index])
+            bounded += [(sizes[c.index], None) for c in node.children
+                        if c.index not in want]
             continue
         children = node.children
         if case == "dense_window":
@@ -163,11 +171,28 @@ def assert_skeleton_matches_tree(g, t):
             assert streamed_case.window_tree_size == 1 + sum(sizes[c.index] for c in window)
             window_graph, _ = induced_subgraph(g, [c.chosen_vertex for c in window])
             assert streamed_case.window_tree_size == brute_count(window_graph)
+            windows.append(streamed_case.window_tree_size)
+            bounded += [(sizes[c.index], streamed_case.window_tree_size)
+                        for c in window if c.index not in want]
             children = children[:cut]
-        small_child = max([small_child] + [sizes[c.index] for c in children
-                                           if c.index not in want])
+        outside = [sizes[c.index] for c in children if c.index not in want]
+        small_child = max([small_child] + outside)
+        bounded += [(size, None) for size in outside]
     assert (checks[0].name, checks[0].lhs) == ("boundary-small-subtree", small_label)
     assert (checks[1].name, checks[1].lhs) == ("boundary-excluded-child", small_child)
+    assert len(bounded) == skel.hanging_count
+    # M is the cap when a hanging subtree is capped and no window exceeds
+    # the cap, else the largest window count
+    capped = any(count is None for _, count in bounded)
+    if capped and at_most_cap(max(windows), t):
+        assert hanging == audit_module._real(audit_module._cap, t)
+    else:
+        assert hanging == max(windows)
+    assert all(size < count for size, count in bounded if count is not None)
+    if checks[0].holds and checks[1].holds:
+        # then every hanging subtree is within its bound, so within M
+        assert all(at_most_cap(size, t) for size, count in bounded if count is None)
+        assert all(size <= hanging for size, _ in bounded)
     tree.discard()
 
 
@@ -217,6 +242,63 @@ def test_streaming_skeleton_matches_tree_across_word_edges():
         for g in word_edge_graphs(n) + [seeded_gnp(n, 0.25, n)]:
             for t in (1, 2):
                 assert_skeleton_matches_tree(g, t)
+
+
+def test_small_child_before_a_window_is_capped():
+    # K_40 and a pendant vertex at t=4: the pendant is the root's child 0
+    # and hangs K_1's tree; child 1 keeps 39 of 41 labels and opens a window
+    g = Graph(41, complete(40).edges() + [(0, 40)])
+    skel = build_skeleton(g, 4)
+    cases, checks, hanging = audit_module.audit_boundary_cases(skel, AuditConfig(t=4), g)
+    assert {case.case for case in cases} == {"dense_window"}
+    root = skel.nodes[0]
+    assert audit_module._window_start(root) == 1
+    assert root.excluded()[0] == 0
+    assert (checks[1].name, checks[1].lhs, checks[1].holds) == (
+        "boundary-excluded-child", 2, True)
+    # the root's window, K_40's tree, exceeds the cap and is M
+    assert hanging == cases[0].window_tree_size == 2**40
+
+
+def test_small_child_before_a_window_below_the_cap_makes_m_the_cap():
+    # K_22 and a pendant vertex at t=7: the skeleton is the root, a
+    # dense_window node whose window K_22 has 2^22 cliques, below the cap
+    # 2^(sqrt(10) 7) ~ 4.6e6; the pendant before it is the one capped
+    # subtree, so M is the cap and not the window count
+    g = Graph(23, complete(22).edges() + [(0, 22)])
+    cfg = AuditConfig(t=7)
+    skel = build_skeleton(g, 7)
+    cases, checks, hanging = audit_module.audit_boundary_cases(skel, cfg, g)
+    assert [(case.case, case.window_tree_size) for case in cases] == [
+        ("dense_window", 2**22)]
+    assert [(c.name, c.lhs) for c in checks[:2]] == [
+        ("boundary-small-subtree", 0), ("boundary-excluded-child", 2)]
+    assert hanging == audit_module._real(audit_module._cap, 7)
+    report = audit_graph(g, cfg)
+    total = next(c for c in report.checks if c.name == "total-product")
+    assert total.holds
+    # 1 + 23 * 2^(sqrt(10) 7); the window count would give 1 + 23 * 2^22
+    assert total.to_json()["rhs"] == "106001217.241088"
+
+
+@pytest.mark.parametrize("g, found", [(cycle(8), False), (path_power(7, 3), True)])
+def test_window_oracle_searches_where_extraction_fails(monkeypatch, g, found):
+    # both rows fail a window condition at t=4 and make extraction raise,
+    # so the exhaustive search decides the window-oracle check
+    with pytest.raises(ExtractionError):
+        extract_subdivision_dense(g, 4)
+    searched = []
+    search = audit_module.has_subdivision
+
+    def counted(*args, **kwargs):
+        searched.append(args[1])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(audit_module, "has_subdivision", counted)
+    checks = window_audit(g, 4, assume_subdivision_free=True)
+    assert (checks[-1].name, checks[-1].lhs, checks[-1].holds) == (
+        "window-oracle", int(found), found)
+    assert searched == [4]
 
 
 def depth_scan(g):

@@ -89,6 +89,10 @@ def test_parse_rejects(text):
         (parse_dimacs, "z 1 2", "line 1: unrecognized line 'z 1 2'", 1),
         (parse_dimacs, "p edge -2 0", "line 1: vertex count must be nonnegative", 1),
         (parse_dimacs, "p edge 3 1\ne 1 2\np edge 2 0", "line 3: second problem line", 3),
+        (parse_dimacs, "p edge 3 1\ne 1 2 3", "line 2: bad edge line 'e 1 2 3'", 2),
+        (parse_dimacs, "p edge 3 1\ne 1", "line 2: bad edge line 'e 1'", 2),
+        (parse_dimacs, "p edge 3 1\ne 1 x", "line 2: bad edge line 'e 1 x'", 2),
+        (parse_dimacs, "c no problem line\n", "missing problem line", None),
     ],
 )
 def test_reader_errors_are_pinned(reader, text, message, line_no):

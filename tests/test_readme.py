@@ -1,7 +1,11 @@
-"""Every `$ clique-census ...` example in README.md prints what it shows."""
+"""Every `$ clique-census ...` example and every `pycon` session in
+README.md prints what it shows."""
 
+import doctest
 import shlex
 from pathlib import Path
+
+import pytest
 
 from clique_census.cli import main
 
@@ -49,3 +53,39 @@ def test_readme_examples_match(capsys, tmp_path, monkeypatch):
             shown = shown[: shown.index("...")]
             printed = printed[: len(shown)]
         assert printed == shown, argv
+
+
+def readme_sessions() -> list[tuple[int, str]]:
+    """(line number of the opening fence, text) per ```pycon block, in
+    README order; the fences are not part of the text."""
+    sessions = []
+    text = None
+    for line_no, line in enumerate(
+            README.read_text(encoding="utf-8").splitlines(keepends=True), start=1):
+        if text is None:
+            if line.strip() == "```pycon":
+                start, text = line_no, []
+        elif line.startswith("```"):
+            sessions.append((start, "".join(text)))
+            text = None
+        else:
+            text.append(line)
+    return sessions
+
+
+SESSIONS = readme_sessions()
+
+
+def test_readme_has_sessions():
+    parser = doctest.DocTestParser()
+    assert sum(len(parser.get_examples(text)) for _, text in SESSIONS) >= 7
+
+
+@pytest.mark.parametrize("start, text", SESSIONS, ids=[f"line {s}" for s, _ in SESSIONS])
+def test_readme_sessions_run(start, text):
+    test = doctest.DocTestParser().get_doctest(text, {}, f"README.md:{start}",
+                                               str(README), start)
+    report = []
+    runner = doctest.DocTestRunner()
+    result = runner.run(test, out=report.append)
+    assert result.failed == 0, "".join(report)

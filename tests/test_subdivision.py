@@ -275,6 +275,41 @@ def test_verify_witness_rejects_junk():
     assert not verify_witness(g2, bad, 3)
 
 
+# K_5 at t=3 with one defect each; the base witness is valid.  Several
+# defects would also fail a later check, or raise IndexError there.
+BASE_BRANCH = (0, 1, 2)
+BASE_PATHS = ((0, 1), (0, 2), (1, 3, 2))
+
+
+@pytest.mark.parametrize("branch, paths", [
+    (("a", 1, 2), BASE_PATHS),  # an id that is not an integer
+    ((0, 1, 2), ((0, None), (0, 2), (1, 3, 2))),
+    ((0, 1, 5), ((0, 1), (5, 0), (1, 5))),  # a branch id out of range
+    ((-1, 1, 2), ((-1, 1), (-1, 2), (1, 2))),  # adj[-1] is vertex 4's
+    ((0, 1, 2), ((),) + BASE_PATHS),  # a path shorter than 2
+    ((0, 1, 2), ((0,), (0, 2), (1, 3, 2))),
+    ((0, 1, 2), ((0, 1), (0, 2), (1, 3, 3, 2))),  # a repeated path vertex
+    ((0, 1, 2), ((0, 1), (0, 2), (1, 7, 2))),  # a path vertex out of range
+    ((0, 1, 2), ((0, 1), (0, 2), (1, -1, 2))),
+    ((0, 1, 2), ((0, 4), (0, 2), (1, 3, 2))),  # an end that is no branch vertex
+    ((0, 1, 2), BASE_PATHS + ((2, 4, 0),)),  # a pair already seen
+    ((0, 1, 2), ((0, 1), (0, 2), (1, 0, 2))),  # an internal branch vertex
+    ((0, 1, 2), ((0, 3, 1), (0, 2), (1, 3, 2))),  # an internal vertex used twice
+])
+def test_verify_witness_rejects_each_defect(branch, paths):
+    g = k(5)
+    assert verify_witness(g, SubdivisionWitness(BASE_BRANCH, BASE_PATHS), 3)
+    assert not verify_witness(g, SubdivisionWitness(branch, paths), 3)
+
+
+def test_verify_witness_rejects_a_pathless_branch_out_of_range():
+    # at t=1 no path names the branch vertex; only its range check can
+    g = k(5)
+    assert verify_witness(g, SubdivisionWitness((4,), ()), 1)
+    assert not verify_witness(g, SubdivisionWitness((5,), ()), 1)
+    assert not verify_witness(g, SubdivisionWitness((-1,), ()), 1)
+
+
 def test_witness_json_roundtrip():
     w = has_subdivision(subdivided_complete(4), 4)
     data = w.to_json()
@@ -296,6 +331,17 @@ def test_extraction_preconditions():
     assert err.value.reason == "precondition"
     with pytest.raises(ExtractionError):
         extract_subdivision_dense(Graph(3, []), 4)
+
+
+@pytest.mark.parametrize("t", [4.5, 4.0, True, Fraction(4)])
+def test_extraction_refuses_a_t_that_is_not_an_int(t):
+    with pytest.raises(TypeError, match="^t must be an int"):
+        extract_subdivision_dense(k(10), t)
+
+
+def test_extraction_refuses_a_negative_t():
+    with pytest.raises(ValueError, match="^t must be non-negative"):
+        extract_subdivision_dense(k(10), -1)
 
 
 def dense_graph(m, seed, keep):
