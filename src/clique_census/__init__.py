@@ -70,7 +70,6 @@ from .audit import (
     AuditConfig,
     AuditReport,
     BoundaryCase,
-    RefinedExponentsReport,
     Skeleton,
     SkeletonNode,
     audit_dense_window,
@@ -78,7 +77,6 @@ from .audit import (
     bound_degenerate,
     build_skeleton,
     check_binom_sum_inequality,
-    refined_exponents,
 )
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context, Decimal, localcontext
 from fractions import Fraction
 from functools import cache
-from math import comb, e, floor, log, log2, sqrt
+from math import comb, floor
 
 from .errors import ExtractionError
 from . import backend as _backend
@@ -334,6 +334,7 @@ def build_skeleton(g: Graph, t: int,
     the same rows and never walked.  The rows and the label determine the
     size, so equal pairs share one kernel run within the call.
     """
+    _require_int("t", t)
     if t < 1:
         raise ValueError("skeleton rule needs t >= 1")
     if peel is None:
@@ -460,6 +461,7 @@ def audit_dense_window(
     fits the oracle, confirmed by extracting a witness from a Graph of
     the rows, the one place a window leaves its rows.
     """
+    _require_int("t", t)
     m = len(bits)
     checks = []
     min_deg = min((row.bit_count() for row in bits), default=0)
@@ -807,138 +809,4 @@ def _degenerate_check(count: int, d: int, n: int) -> AuditCheck:
         rhs=bound,
         holds=count <= bound,
         anchor="clique count <= 2^d (n - d + 1) at d = degeneracy",
-    )
-
-
-@dataclass(frozen=True)
-class RefinedExponentsReport:
-    """Exponent accounting for generalized thinning parameters.
-
-    The dense exponent bounds log2(cliques of a window)/t over window
-    sizes gamma*t; its asymptotic variant takes the supremum over all
-    gamma >= 1.  The skeleton exponent is the finite-t analogue of the
-    skeleton size bound with shrink factor 1-alpha and the 10t^2 label
-    cap kept.  total = skeleton + max(dense, sqrt(10)) at the given t;
-    the sqrt(10) floor is the exponent of the 2^(sqrt(10) t) subtree
-    bound hanging at small-label boundary nodes.
-    """
-
-    alpha: Fraction
-    beta: Fraction
-    t: int
-    slack: Fraction
-    zeta_min: Fraction
-    gamma_max: Fraction
-    window_size_bound: Fraction
-    dense_exponent: float
-    dense_exponent_asymptotic: float
-    skeleton_exponent: float
-    total_exponent: float
-
-    def to_json(self) -> dict:
-        return {
-            "alpha": _fmt(self.alpha),
-            "beta": _fmt(self.beta),
-            "t": self.t,
-            "slack": _fmt(self.slack),
-            "zeta_min": _fmt(self.zeta_min),
-            "gamma_max": _fmt(self.gamma_max),
-            "window_size_bound": _fmt(self.window_size_bound),
-            "dense_exponent": self.dense_exponent,
-            "dense_exponent_asymptotic": self.dense_exponent_asymptotic,
-            "skeleton_exponent": self.skeleton_exponent,
-            "total_exponent": self.total_exponent,
-        }
-
-
-def _window_exponent(gamma: float, beta_f: float, zeta_min_f: float) -> float:
-    """Per-t clique exponent of one window size, minimized over tactics.
-
-    Tactics: all subsets (gamma); all subsets of size < t (log2(e*gamma),
-    valid once gamma >= 1); truncate at depth t*u/(beta*gamma) with
-    u = ln(gamma/zeta) and charge 2^(zeta t) per hanging subtree,
-    minimized over the free threshold zeta >= zeta_min.
-    """
-    best = gamma
-    if gamma >= 1.0:
-        best = min(best, log2(e * gamma))
-    if gamma > zeta_min_f:
-        steps = 160
-        ratio = gamma / zeta_min_f
-        for j in range(steps):
-            zeta = zeta_min_f * ratio ** (j / steps)
-            u = log(gamma / zeta)
-            if u <= 0 or u > beta_f * gamma * gamma:
-                continue
-            depth_part = (u / (beta_f * gamma)) * log2(
-                e * beta_f * gamma * gamma / u
-            )
-            hang_part = min(zeta, log2(e * zeta))
-            best = min(best, depth_part + hang_part)
-    return best
-
-
-def _max_window_exponent(
-    beta_f: float, zeta_min_f: float, gamma_hi: float
-) -> float:
-    if gamma_hi <= 1.0:
-        return _window_exponent(gamma_hi, beta_f, zeta_min_f)
-    coarse = 600
-    ratio = gamma_hi
-    best = 0.0
-    best_gamma = 1.0
-    for j in range(coarse + 1):
-        gamma = ratio ** (j / coarse)
-        value = _window_exponent(gamma, beta_f, zeta_min_f)
-        if value > best:
-            best = value
-            best_gamma = gamma
-    lo = max(1.0, best_gamma / ratio ** (1.0 / coarse))
-    hi = min(gamma_hi, best_gamma * ratio ** (1.0 / coarse))
-    for j in range(201):
-        gamma = lo + (hi - lo) * j / 200
-        best = max(best, _window_exponent(gamma, beta_f, zeta_min_f))
-    return best
-
-
-def refined_exponents(alpha, beta, t: int) -> RefinedExponentsReport:
-    """Re-run the exponent bookkeeping at generalized (alpha, beta).
-
-    Requires 0 < alpha, 0 < beta, 1 - 2*alpha - beta/2 > 0, t >= 4.
-    The derivation behind the three tactics lives in
-    docs/refined_bounds.md; the truncation depth is re-optimized
-    numerically on a grid, as our own instantiation.
-    """
-    alpha = _as_fraction(alpha)
-    beta = _as_fraction(beta)
-    if t < 4:
-        raise ValueError("refined exponents need t >= 4")
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("alpha and beta must be positive")
-    slack = 1 - 2 * alpha - Fraction(beta, 2)
-    if slack <= 0:
-        raise ValueError("need 1 - 2*alpha - beta/2 > 0")
-    zeta_min = 1 / slack
-    gamma_max = max(zeta_min, (alpha / beta) * t)
-    window_size_bound = gamma_max * t
-
-    beta_f = float(beta)
-    zeta_min_f = float(zeta_min)
-    dense = _max_window_exponent(beta_f, zeta_min_f, float(gamma_max))
-    dense_asym = _max_window_exponent(beta_f, zeta_min_f, 1.0e4)
-    skeleton = (log(10 * t * t) ** 2) / (
-        2 * t * log(1 / (1 - float(alpha))) * log(2)
-    )
-    return RefinedExponentsReport(
-        alpha=alpha,
-        beta=beta,
-        t=t,
-        slack=slack,
-        zeta_min=zeta_min,
-        gamma_max=gamma_max,
-        window_size_bound=window_size_bound,
-        dense_exponent=dense,
-        dense_exponent_asymptotic=dense_asym,
-        skeleton_exponent=skeleton,
-        total_exponent=skeleton + max(dense, sqrt(10.0)),
     )

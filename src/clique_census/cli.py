@@ -24,7 +24,6 @@ from .audit import (
     audit_graph,
     bound_degenerate,
     check_binom_sum_inequality,
-    refined_exponents,
 )
 from .constructions import (
     generate,
@@ -75,6 +74,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_output(p):
+        p.add_argument("--output", metavar="PATH", help="write output here instead of stdout")
+        p.add_argument(
+            "--format",
+            choices=("json", "text"),
+            default="text",
+            help="output format (default text)",
+        )
+
     def add_common(p, graph_input=True):
         if graph_input:
             p.add_argument(
@@ -89,13 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "to a JSON file {family, params, seed}",
         )
         p.add_argument("--seed", type=int, help="seed override for random families")
-        p.add_argument("--output", metavar="PATH", help="write output here instead of stdout")
-        p.add_argument(
-            "--format",
-            choices=("json", "text"),
-            default="text",
-            help="output format (default text)",
-        )
+        add_output(p)
 
     p = sub.add_parser("count", help="total clique count, empty clique included")
     add_common(p)
@@ -152,7 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("bounds", help="closed-form bound calculators")
-    add_common(p)
+    add_output(p)
     p.add_argument(
         "--degenerate",
         nargs=2,
@@ -165,12 +167,6 @@ def _build_parser() -> argparse.ArgumentParser:
         nargs=2,
         metavar=("M", "K"),
         help="check sum_{i<=floor(K)} C(M,i) <= (e M / K)^K",
-    )
-    p.add_argument(
-        "--refined",
-        nargs=3,
-        metavar=("ALPHA", "BETA", "T"),
-        help="exponent report at generalized thinning parameters",
     )
     p.add_argument(
         "--lower-bound",
@@ -206,9 +202,9 @@ def _resolve_spec(args):
 def _config_dict(args) -> dict:
     cfg = {
         "command": args.command,
-        "input": args.construct or getattr(args, "graph", None),
+        "input": getattr(args, "construct", None) or getattr(args, "graph", None),
         "format": args.format,
-        "seed": args.seed,
+        "seed": getattr(args, "seed", None),
     }
     for key in ("t", "oracle_limit", "exhaustive_limit", "mode"):
         if hasattr(args, key):
@@ -523,18 +519,6 @@ def _cmd_bounds(args) -> _Report:
         mark = "holds" if check.holds else "FAILS"
         lines.append(f"binom: {mark} lhs={check.lhs} rhs={_fmt(check.rhs)}")
         failed = not check.holds
-    if args.refined:
-        alpha = parse_fraction(args.refined[0])
-        beta = parse_fraction(args.refined[1])
-        t = _integer(args.refined[2])
-        report = refined_exponents(alpha, beta, t)
-        payload["refined"] = report.to_json()
-        lines.append(
-            f"refined: dense={report.dense_exponent:.6f} "
-            f"asymptotic={report.dense_exponent_asymptotic:.6f} "
-            f"skeleton={report.skeleton_exponent:.6f} "
-            f"total={report.total_exponent:.6f}"
-        )
     if args.lower_bound is not None:
         report = lower_bound_constant(args.lower_bound)
         payload["lower_bound"] = {
@@ -549,10 +533,7 @@ def _cmd_bounds(args) -> _Report:
             f"exponent={report.exponent:.6f} limit={report.limit:.6f}"
         )
     if not payload:
-        raise _UsageError(
-            "bounds needs at least one of --degenerate, --binom, "
-            "--refined, --lower-bound"
-        )
+        raise _UsageError("bounds needs at least one of --degenerate, --binom, --lower-bound")
     return _Report(payload, "\n".join(lines), EXIT_CHECK_FAILED if failed else EXIT_OK)
 
 

@@ -175,10 +175,12 @@ _DIMACS_START = re.compile(r"\s*(c|p(\s|$))")
 
 
 def read_utf8(path: str) -> str:
-    """The file's text. Bytes that are not UTF-8 raise GraphParseError on
-    the line of the first bad byte."""
+    """The file's text, less a leading byte order mark. Bytes that are not
+    UTF-8 raise GraphParseError on the line of the first bad byte."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        # the mark is stripped here, not by the utf-8-sig codec, whose
+        # error offsets would not count its three bytes
+        data = fh.read().removeprefix(b"\xef\xbb\xbf")
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as err:

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .errors import OracleLimitError
 from .graph import Graph, degeneracy, mask_vertices, rows
+from .subdivision import _require_int
 from .tree import _forward_sets
 
 DEFAULT_EXHAUSTIVE_LIMIT = 22
@@ -139,6 +140,7 @@ def generalized_sparsity_params(m: int, t: int, alpha, beta) -> tuple[SparsityPa
     (the threshold N is rounded up to an integer). lemma_sparsity_params
     is the case (alpha, beta) = (1/10, 1/2).
     """
+    _require_int("t", t)
     if t < 1:
         raise ValueError("t must be at least 1")
     if m < 0:

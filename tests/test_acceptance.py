@@ -34,7 +34,6 @@ from clique_census import (
     lower_bound_constant,
     path_power,
     petersen,
-    refined_exponents,
     verify_witness,
 )
 
@@ -266,22 +265,6 @@ def test_audit_pipeline_green_on_subdivision_free_inputs():
             "no K_5-subdivision present" in note for note in report.notes
         )
     assert time.perf_counter() - start < 120.0
-
-
-def test_refined_exponent_reports():
-    start = time.perf_counter()
-    r = refined_exponents(Fraction(1, 100), Fraction(13, 20), 4)
-    assert r.dense_exponent_asymptotic < 4.0
-
-    r = refined_exponents(Fraction(7, 20), Fraction(2, 5), 4)
-    assert r.total_exponent < 20.0
-
-    r4 = refined_exponents(Fraction(1, 10), Fraction(1, 2), 4)
-    assert r4.dense_exponent_asymptotic <= 5.0
-    assert r4.window_size_bound == max(Fraction(20 * 4, 11), Fraction(16, 5))
-    r10 = refined_exponents(Fraction(1, 10), Fraction(1, 2), 10)
-    assert r10.window_size_bound == max(Fraction(20 * 10, 11), Fraction(100, 5))
-    assert time.perf_counter() - start < 1.0
 
 
 def test_lower_bound_exponent_approaches_limit():

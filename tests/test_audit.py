@@ -9,7 +9,7 @@ import time
 from contextlib import nullcontext
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import comb, isclose, sqrt
+from math import comb, sqrt
 
 import hypothesis.strategies as st
 import pytest
@@ -38,7 +38,6 @@ from clique_census import (
     path_power,
     petersen,
     random_gnp,
-    refined_exponents,
 )
 from clique_census.cli import main
 from clique_census.graph import Graph, induced_subgraph, rows
@@ -507,6 +506,14 @@ def test_config_refuses_parameters_that_are_not_ints(params, name):
         AuditConfig(**params)
 
 
+@pytest.mark.parametrize("t", [4.5, True])
+def test_skeleton_and_window_refuse_a_t_that_is_not_an_int(t):
+    with pytest.raises(TypeError, match=f"^t must be an int, got {t!r}$"):
+        build_skeleton(complete(12), t)
+    with pytest.raises(TypeError, match=f"^t must be an int, got {t!r}$"):
+        audit_dense_window(rows(complete(20)), t, window_count=2**20)
+
+
 def test_dense_window_clean_pass():
     # a 10-vertex clique at t = 8: within every window condition
     checks = window_audit(complete(10), 8)
@@ -869,52 +876,6 @@ def test_report_json_shapes():
         assert entry["anchor"]
     case = data["boundary_cases"][0]
     assert case["window_tree_size"] == "8192"
-
-
-def test_refined_exponents_reference_point():
-    r = refined_exponents(Fraction(1, 10), Fraction(1, 2), 4)
-    assert r.slack == Fraction(11, 20)
-    assert r.zeta_min == Fraction(20, 11)
-    assert r.gamma_max == Fraction(20, 11)
-    assert r.window_size_bound == Fraction(80, 11)
-    assert r.window_size_bound == max(Fraction(20 * 4, 11), Fraction(16, 5))
-    assert 44.0 <= r.skeleton_exponent <= 44.1
-    assert r.dense_exponent_asymptotic <= 5.0
-    assert r.total_exponent < 50.0
-    assert r.dense_exponent <= r.dense_exponent_asymptotic + 1e-9
-
-
-def test_refined_exponents_sharper_parameters():
-    r = refined_exponents(Fraction(1, 100), Fraction(13, 20), 4)
-    assert r.dense_exponent_asymptotic < 4.0
-    r = refined_exponents(Fraction(7, 20), Fraction(2, 5), 4)
-    assert r.total_exponent < 20.0
-
-
-def test_refined_exponents_window_bound_scales():
-    r = refined_exponents(Fraction(1, 10), Fraction(1, 2), 10)
-    assert r.gamma_max == Fraction(2)
-    assert r.window_size_bound == Fraction(20)
-    assert r.window_size_bound == max(Fraction(20 * 10, 11), Fraction(100, 5))
-
-
-def test_refined_exponents_validation():
-    with pytest.raises(TypeError):
-        refined_exponents(0.1, Fraction(1, 2), 4)
-    with pytest.raises(ValueError):
-        refined_exponents(Fraction(1, 10), Fraction(1, 2), 3)
-    with pytest.raises(ValueError):
-        refined_exponents(Fraction(0), Fraction(1, 2), 4)
-    with pytest.raises(ValueError):
-        refined_exponents(Fraction(1, 4), Fraction(1), 4)
-
-
-def test_refined_exponents_json():
-    r = refined_exponents(Fraction(1, 10), Fraction(1, 2), 4)
-    data = r.to_json()
-    assert data["alpha"] == "1/10"
-    assert data["window_size_bound"] == "80/11"
-    assert isclose(data["total_exponent"], r.total_exponent)
 
 
 # In a fresh interpreter where any import of mpmath fails: runs each CLI

@@ -306,6 +306,16 @@ def test_construct_from_json_file(capsys, tmp_path):
     assert out == "144\n"
 
 
+def test_construct_from_json_file_with_a_byte_order_mark(capsys, tmp_path):
+    text = json.dumps({"family": "random_gnp", "params": {"n": 12, "p": "1/2"}, "seed": 3})
+    outputs = []
+    for name, data in (("plain.json", text.encode()), ("marked.json", b"\xef\xbb\xbf" + text.encode())):
+        (tmp_path / name).write_bytes(data)
+        outputs.append(run(capsys, "generate", "--construct", str(tmp_path / name)))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and outputs[0][1].startswith("12 ")
+
+
 def test_byte_determinism(capsys):
     argv = (
         "census",
@@ -730,10 +740,6 @@ def test_bounds_json_key_order(capsys):
         "bounds",
         "--lower-bound",
         "2",
-        "--refined",
-        "1/10",
-        "1/2",
-        "4",
         "--binom",
         "10",
         "3",
@@ -745,8 +751,21 @@ def test_bounds_json_key_order(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert list(payload) == ["config", "degenerate", "binom", "refined", "lower_bound"]
+    assert list(payload) == ["config", "degenerate", "binom", "lower_bound"]
     assert list(payload["config"]) == BASE_CONFIG
+    assert payload["config"] == {"command": "bounds", "input": None, "format": "json", "seed": None}
+
+
+@pytest.mark.parametrize("argv", [
+    ("/nonexistent",),
+    ("--construct", "mystery:n=3"),
+    ("--seed", "5"),
+    ("--refined", "1/10", "1/2", "4"),
+])
+def test_bounds_refuses_a_graph_and_removed_options(capsys, argv):
+    code, out, err = run(capsys, "bounds", "--degenerate", "3", "20", *argv)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments" in err
 
 
 def test_bounds_text(capsys):
@@ -759,10 +778,6 @@ def test_bounds_text(capsys):
     code, out, _ = run(capsys, "bounds", "--lower-bound", "2")
     assert code == 0
     assert "k=2 t=4" in out
-    code, out, _ = run(capsys, "bounds", "--refined", "1/10", "1/2", "4")
-    assert code == 0
-    assert out.startswith("refined: dense=")
-    assert "skeleton=44.0" in out
 
 
 def test_bounds_json(capsys):
@@ -787,15 +802,11 @@ def test_bounds_json(capsys):
 
 def test_bounds_bad_rational_exit_2(capsys):
     assert run(capsys, "bounds", "--binom", "10", "0")[0] == 2
-    for argv in (("--binom", "10", "1/0"), ("--refined", "1/0", "1/2", "4"),
-                 ("--refined", "1/10", "0/0", "4")):
-        code, out, err = run(capsys, "bounds", *argv)
-        assert (code, out) == (2, "")
-        assert err.startswith("error: bad fraction") and "zero denominator" in err
+    code, out, err = run(capsys, "bounds", "--binom", "10", "1/0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad fraction") and "zero denominator" in err
     for argv, message in ((("--binom", "2.5", "1"), "bad integer '2.5'"),
-                          (("--refined", "1/10", "1/2", "4.5"), "bad integer '4.5'"),
-                          (("--binom", "10", "abc"), "bad fraction 'abc'"),
-                          (("--refined", "zero", "1/2", "4"), "bad fraction 'zero'")):
+                          (("--binom", "10", "abc"), "bad fraction 'abc'")):
         assert run(capsys, "bounds", *argv) == (2, "", f"error: {message}\n")
 
 

@@ -208,6 +208,24 @@ def test_load_graph_reports_the_line_of_a_byte_that_is_not_utf8(tmp_path, data, 
     assert str(info.value).startswith(f"line {line_no}: invalid UTF-8 byte 0x")
 
 
+@pytest.mark.parametrize(
+    "suffix, text",
+    [(".txt", "3 2\n0 1\n1 2\n"), (".col", "p edge 3 2\ne 1 2\ne 2 3\n")],
+)
+def test_load_graph_skips_a_byte_order_mark(tmp_path, suffix, text):
+    plain, marked = tmp_path / f"plain{suffix}", tmp_path / f"marked{suffix}"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert load_graph(str(marked)) == load_graph(str(plain)) == path_power(3, 1)
+
+
+def test_load_graph_counts_a_bad_byte_after_a_byte_order_mark(tmp_path):
+    f = tmp_path / "g.txt"
+    f.write_bytes(b"\xef\xbb\xbf3 2\n0 1\n1 \xff2\n")
+    with pytest.raises(GraphParseError, match="^line 3: invalid UTF-8 byte 0xff$"):
+        load_graph(str(f))
+
+
 @given(graphs())
 def test_serialize_roundtrip(g):
     assert parse_graph(serialize(g)) == g

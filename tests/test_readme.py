@@ -1,12 +1,17 @@
 """Every `$ clique-census ...` example and every `pycon` session in
-README.md prints what it shows."""
+README.md prints what it shows, and the names and options it cites
+exist."""
 
+import argparse
 import doctest
+import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import clique_census
+from clique_census import cli
 from clique_census.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -89,3 +94,44 @@ def test_readme_sessions_run(start, text):
     runner = doctest.DocTestRunner()
     result = runner.run(test, out=report.append)
     assert result.failed == 0, "".join(report)
+
+
+def readme_prose() -> str:
+    """README.md without its fenced code blocks."""
+    kept, fenced = [], False
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif not fenced:
+            kept.append(line)
+    return "\n".join(kept)
+
+
+def highlight_names() -> list[str]:
+    """The names that lead each bullet of the Highlights list."""
+    text = readme_prose()
+    start = text.index("Highlights, all importable from `clique_census`:")
+    block = text[start:text.index("\n## ", start)]
+    bullets = [" ".join(b.split()) for b in block.split("\n* ")[1:]]
+    names = []
+    for bullet in bullets:
+        lead = re.match(r"((?:`[^`]+`,? )*`[^`]+`):", bullet)
+        assert lead, bullet
+        names += re.findall(r"`([A-Za-z_]\w*)", lead.group(1))
+    return names
+
+
+def test_readme_highlights_name_only_public_names():
+    names = highlight_names()
+    assert len(names) >= 30
+    assert [n for n in names if not hasattr(clique_census, n)] == []
+
+
+def test_readme_options_exist():
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    declared = {option for p in subparsers.choices.values()
+                for option in p._option_string_actions}
+    spans = re.findall(r"`(--[^`]*)`", readme_prose())
+    assert len(spans) >= 10
+    assert sorted({s.split()[0] for s in spans} - declared) == []

@@ -64,6 +64,14 @@ def test_generalized_validation():
         generalized_sparsity_params(5, 4, Fraction(1, 10), Fraction(0))
 
 
+@pytest.mark.parametrize("t", [4.5, True])
+def test_params_refuse_a_t_that_is_not_an_int(t):
+    with pytest.raises(TypeError, match=f"^t must be an int, got {t!r}$"):
+        lemma_sparsity_params(10, t)
+    with pytest.raises(TypeError, match=f"^t must be an int, got {t!r}$"):
+        generalized_sparsity_params(10, t, Fraction(1, 10), Fraction(1, 2))
+
+
 def test_complete_graph_violates():
     params = SparsityParams(Fraction(1, 2), 4)
     cert = check_local_sparsity(k(12), params)
