@@ -693,6 +693,8 @@ def _headline_check(count: int, t: int, n: int) -> AuditCheck:
 
 def bound_degenerate(d: int, n: int) -> int:
     """Clique-count ceiling 2^d (n - d + 1) for d-degenerate graphs."""
+    _require_int("d", d)
+    _require_int("n", n)
     if d < 0:
         raise ValueError("degeneracy must be non-negative")
     if n < d:

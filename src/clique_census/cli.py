@@ -15,38 +15,20 @@ import os
 import sys
 from bisect import bisect_left
 from contextlib import contextmanager
-from decimal import Decimal
 from typing import Iterator, NamedTuple, TextIO
 
-from .audit import (
-    AuditConfig,
-    _fmt,
-    audit_graph,
-    bound_degenerate,
-    check_binom_sum_inequality,
-)
-from .constructions import (
-    generate,
-    lower_bound_constant,
-    parse_construction_spec,
-    parse_fraction,
-    predicted_clique_count,
-    spec_from_json,
-)
-from .errors import CliqueCensusError, GraphParseError, OracleLimitError
-from .graph import Graph, load_graph, read_utf8, serialize
-from .sparsity import (
+# count, census and enumerate need only the modules imported here; each
+# other command imports what it runs inside its handler, so a cold start
+# loads no audit, oracle, sparsity or construction code it does not use
+from .errors import (
     DEFAULT_EXHAUSTIVE_LIMIT,
-    SparsityParams,
-    check_local_sparsity,
-    lemma_sparsity_params,
-)
-from .subdivision import (
     DEFAULT_MINOR_LIMIT,
     DEFAULT_SUBDIVISION_LIMIT,
-    has_minor,
-    has_subdivision,
+    CliqueCensusError,
+    GraphParseError,
+    OracleLimitError,
 )
+from .graph import Graph, load_graph, read_utf8, serialize
 from .tree import _clique_blocks, census, count_cliques
 from .tree import enumerate_cliques  # noqa: F401  unused here; traced by this name
 
@@ -182,6 +164,8 @@ def _resolve_graph(args) -> Graph:
     if args.construct and args.graph:
         raise _UsageError("give either a graph file or --construct, not both")
     if args.construct:
+        from .constructions import generate
+
         return generate(_resolve_spec(args))
     if args.graph:
         return load_graph(args.graph)
@@ -189,6 +173,8 @@ def _resolve_graph(args) -> Graph:
 
 
 def _resolve_spec(args):
+    from .constructions import parse_construction_spec, spec_from_json
+
     text = args.construct
     if os.path.isfile(text):
         spec = spec_from_json(read_utf8(text))
@@ -396,6 +382,8 @@ def _cmd_enumerate(args) -> int:
 def _cmd_generate(args) -> _Report:
     if not args.construct:
         raise _UsageError("generate needs --construct")
+    from .constructions import generate, predicted_clique_count
+
     spec = _resolve_spec(args)
     g = generate(spec)
     predicted = predicted_clique_count(spec)
@@ -422,6 +410,18 @@ def _cmd_check(args, oracle, render) -> _Report:
     return _Report({"witness": payload}, "\n".join(lines))
 
 
+def _cmd_check_subdivision(args) -> _Report:
+    from .subdivision import has_subdivision
+
+    return _cmd_check(args, has_subdivision, _subdivision_witness)
+
+
+def _cmd_check_minor(args) -> _Report:
+    from .subdivision import has_minor
+
+    return _cmd_check(args, has_minor, _minor_witness)
+
+
 def _subdivision_witness(witness):
     lines = ["branch: " + " ".join(map(str, witness.branch))]
     lines += [f"path {p[0]} {p[-1]}: " + " ".join(map(str, p)) for p in witness.paths]
@@ -434,6 +434,9 @@ def _minor_witness(witness):
 
 
 def _cmd_sparse_check(args) -> _Report:
+    from .constructions import parse_fraction
+    from .sparsity import SparsityParams, check_local_sparsity, lemma_sparsity_params
+
     g = _resolve_graph(args)
     if args.beta is not None or args.n_threshold is not None:
         if args.beta is None or args.n_threshold is None:
@@ -457,6 +460,8 @@ def _cmd_sparse_check(args) -> _Report:
 
 
 def _cmd_audit(args) -> _Report:
+    from .audit import AuditConfig, audit_graph
+
     g = _resolve_graph(args)
     cfg = AuditConfig(
         t=args.t,
@@ -488,6 +493,10 @@ def _cmd_audit(args) -> _Report:
 
 
 def _short(value) -> str:
+    from decimal import Decimal
+
+    from .audit import _fmt
+
     # a Decimal to 15 digits; str() shows Fraction(9) as "9", _fmt as "9/1"
     text = _fmt(value) if isinstance(value, Decimal) else str(value)
     if len(text) > 40:
@@ -503,6 +512,9 @@ def _integer(text: str) -> int:
 
 
 def _cmd_bounds(args) -> _Report:
+    from .audit import _fmt, bound_degenerate, check_binom_sum_inequality
+    from .constructions import lower_bound_constant, parse_fraction
+
     payload: dict = {}
     lines: list[str] = []
     failed = False
@@ -541,10 +553,8 @@ _DISPATCH = {
     "count": _cmd_count,
     "census": _cmd_census,
     "generate": _cmd_generate,
-    "check-subdivision": functools.partial(
-        _cmd_check, oracle=has_subdivision, render=_subdivision_witness
-    ),
-    "check-minor": functools.partial(_cmd_check, oracle=has_minor, render=_minor_witness),
+    "check-subdivision": _cmd_check_subdivision,
+    "check-minor": _cmd_check_minor,
     "sparse-check": _cmd_sparse_check,
     "audit": _cmd_audit,
     "bounds": _cmd_bounds,

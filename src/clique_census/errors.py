@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the default vertex
+limits past which the exhaustive searches raise OracleLimitError.
+
+The limits live here, with the error they lead to, so the CLI can show
+them in its help without importing the searches.
+"""
+
+DEFAULT_SUBDIVISION_LIMIT = 16
+DEFAULT_MINOR_LIMIT = 14
+DEFAULT_EXHAUSTIVE_LIMIT = 22
 
 
 class CliqueCensusError(Exception):

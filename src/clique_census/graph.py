@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import heapq
 import re
-from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import GraphParseError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class Graph:
@@ -358,4 +360,7 @@ def average_degree(g: Graph) -> Fraction:
     """Exact average degree 2m/n. Errors on the empty graph."""
     if g.n == 0:
         raise ValueError("average degree undefined for the empty graph")
+    # imported here: loading a graph needs no fractions
+    from fractions import Fraction
+
     return Fraction(2 * g.edge_count, g.n)

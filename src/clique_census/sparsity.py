@@ -10,12 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import OracleLimitError
+from .errors import DEFAULT_EXHAUSTIVE_LIMIT, OracleLimitError
 from .graph import Graph, degeneracy, mask_vertices, rows
 from .subdivision import _require_int
 from .tree import _forward_sets
-
-DEFAULT_EXHAUSTIVE_LIMIT = 22
 
 
 def _as_fraction(x) -> Fraction:
@@ -140,6 +138,7 @@ def generalized_sparsity_params(m: int, t: int, alpha, beta) -> tuple[SparsityPa
     (the threshold N is rounded up to an integer). lemma_sparsity_params
     is the case (alpha, beta) = (1/10, 1/2).
     """
+    _require_int("m", m)
     _require_int("t", t)
     if t < 1:
         raise ValueError("t must be at least 1")

@@ -24,11 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import ExtractionError, OracleLimitError
+from .errors import (
+    DEFAULT_MINOR_LIMIT,
+    DEFAULT_SUBDIVISION_LIMIT,
+    ExtractionError,
+    OracleLimitError,
+)
 from .graph import DegeneracyResult, Graph, degeneracy, mask_vertices, rows
-
-DEFAULT_SUBDIVISION_LIMIT = 16
-DEFAULT_MINOR_LIMIT = 14
 
 
 @dataclass(frozen=True)

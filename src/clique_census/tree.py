@@ -49,9 +49,8 @@ blocks and the pivot census.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import backend as _backend
 from .errors import CapacityError
@@ -256,9 +255,11 @@ def build_tree(g: Graph, node_cap: int = DEFAULT_NODE_CAP) -> CliqueSearchTree:
     return CliqueSearchTree(g, root, nodes)
 
 
-@dataclass(frozen=True)
-class CliqueCensus:
-    """Per-size clique counts; counts[k] is the number of k-cliques."""
+class CliqueCensus(NamedTuple):
+    """Per-size clique counts; counts[k] is the number of k-cliques.
+
+    A named tuple, not a dataclass: importing dataclasses (and with it
+    inspect) would be a large share of a cold `count`."""
 
     counts: tuple[int, ...]
 

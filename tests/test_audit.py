@@ -723,6 +723,13 @@ def test_bound_degenerate_values():
         bound_degenerate(6, 5)
 
 
+@pytest.mark.parametrize("d, n, name", [(2.5, 10, "d"), (True, 10, "d"), (3, 10.0, "n")])
+def test_bound_degenerate_refuses_arguments_that_are_not_ints(d, n, name):
+    # these used to return 48.08..., 20 and 64.0
+    with pytest.raises(TypeError, match=f"^{name} must be an int, got "):
+        bound_degenerate(d, n)
+
+
 def test_degenerate_bound_is_tight_on_path_power():
     g = path_power(20, 3)
     assert count_cliques(g) == bound_degenerate(3, 20)

@@ -20,6 +20,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "benchmarks"))
 
 import census_kernel  # noqa: E402
+import cold_start  # noqa: E402
 import common  # noqa: E402
 import enumerate_blocks  # noqa: E402
 import root_split  # noqa: E402
@@ -38,6 +39,9 @@ SMALL = [
      {"family": "multipartite", "n": 4, "cliques": 3**4}),
     (census_kernel, "BENCH_census_kernel.json",
      {"graph": "complete_multipartite_222(6)", "n": 12}, {"family": "multipartite", "k": 6}),
+    (cold_start, "BENCH_cold_start.json",
+     {"operation": "cli count", "graph": "gnp(300,1/30)"},
+     {"operation": "count", "n": 300, "p": 1 / 30}),
 ]
 
 

@@ -842,3 +842,41 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "144\n"
+
+
+_COLD_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from clique_census.cli import main
+code = main(sys.argv[2:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("clique_census."))]))
+"""
+
+
+@pytest.mark.parametrize("command", ["count", "census", "enumerate"])
+def test_cold_counting_command_loads_no_audit_code(tmp_path, command):
+    path = tmp_path / "g.txt"
+    path.write_text("4 4\n0 1\n1 2\n2 0\n2 3\n", encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", _COLD_PROBE, src, command, str(path)],
+                          check=True, capture_output=True, text=True, timeout=120)
+    code, loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert code == 0
+    assert loaded == ["clique_census.backend", "clique_census.cli", "clique_census.errors",
+                      "clique_census.graph", "clique_census.tree"]
+
+
+def test_help_shows_the_library_limits(capsys):
+    from clique_census.sparsity import DEFAULT_EXHAUSTIVE_LIMIT
+    from clique_census.subdivision import DEFAULT_MINOR_LIMIT, DEFAULT_SUBDIVISION_LIMIT
+
+    for command, option, limit in (
+        ("check-subdivision", "--oracle-limit", DEFAULT_SUBDIVISION_LIMIT),
+        ("check-minor", "--oracle-limit", DEFAULT_MINOR_LIMIT),
+        ("sparse-check", "--exhaustive-limit", DEFAULT_EXHAUSTIVE_LIMIT),
+        ("audit", "--oracle-limit", DEFAULT_SUBDIVISION_LIMIT),
+    ):
+        assert main([command, "--help"]) == 0
+        # the option's own entry follows its last mention
+        out = " ".join(capsys.readouterr().out.split())
+        assert f"(default {limit})" in out.split(option)[-1], command

@@ -72,6 +72,15 @@ def test_params_refuse_a_t_that_is_not_an_int(t):
         generalized_sparsity_params(10, t, Fraction(1, 10), Fraction(1, 2))
 
 
+@pytest.mark.parametrize("m", [4.5, True])
+def test_params_refuse_an_m_that_is_not_an_int(m):
+    # 4.5 used to fail inside Fraction; True gave beta = 31/32 as if m were 1
+    with pytest.raises(TypeError, match=f"^m must be an int, got {m!r}$"):
+        lemma_sparsity_params(m, 4)
+    with pytest.raises(TypeError, match=f"^m must be an int, got {m!r}$"):
+        generalized_sparsity_params(m, 4, Fraction(1, 10), Fraction(1, 2))
+
+
 def test_complete_graph_violates():
     params = SparsityParams(Fraction(1, 2), 4)
     cert = check_local_sparsity(k(12), params)
