@@ -20,7 +20,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "backend": ("available_backends", "census_of_subset", "default_backend"),
     "errors": (
-        "CapacityError",
         "CliqueCensusError",
         "ExtractionError",
         "GraphParseError",

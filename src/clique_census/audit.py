@@ -20,25 +20,19 @@ from fractions import Fraction
 from functools import cache
 from math import comb, floor
 
-from .errors import ExtractionError
+from .errors import ExtractionError, _require_int
 from . import backend as _backend
 from .graph import DegeneracyResult, Graph, _row_edges, degeneracy, min_degree_in, rows
 from .graph import induced_subgraph  # noqa: F401  unused here; traced by this name
 from .sparsity import _as_fraction
 from .subdivision import (
     DEFAULT_SUBDIVISION_LIMIT,
-    _require_int,
     elimination_certificate,
     extract_subdivision_dense,
     has_subdivision,
     verify_witness,
 )
-from .tree import (
-    DEFAULT_NODE_CAP,
-    _label_children,
-    _local_graphs,
-    count_cliques,
-)
+from .tree import _label_children, _local_graphs, count_cliques
 from .tree import build_tree  # noqa: F401  unused here; traced by this name
 
 # perfbench/layers.py times the audit by replacing names in this module
@@ -51,6 +45,10 @@ from .tree import build_tree  # noqa: F401  unused here; traced by this name
 # reported reals and margins carry 50 significant digits; no exponent limit
 _CONTEXT = Context(prec=50, Emax=MAX_EMAX, Emin=MIN_EMIN)
 _DISPLAY = Context(prec=15, rounding=ROUND_HALF_UP, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+# a dense window with more cliques than this is not walked for its
+# truncation check
+DEFAULT_NODE_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -182,16 +180,6 @@ class SkeletonNode:
     child_sizes: tuple[int, ...]
     child_in_skeleton: tuple[bool, ...]
 
-    def child_indices(self) -> list[int]:
-        """Preorder indices of the children: each follows its earlier
-        siblings' subtrees."""
-        out = []
-        index = self.index + 1
-        for size in self.child_sizes:
-            out.append(index)
-            index += size
-        return out
-
     def excluded(self) -> list[int]:
         """Positions of the children that lie outside the skeleton."""
         return [i for i, inside in enumerate(self.child_in_skeleton) if not inside]
@@ -217,10 +205,6 @@ class Skeleton:
     def tree_size(self) -> int:
         """Node count of the whole clique search tree: the clique count."""
         return self.nodes[0].size
-
-    @property
-    def included(self) -> frozenset[int]:
-        return frozenset(node.index for node in self.nodes)
 
     @property
     def hanging_count(self) -> int:

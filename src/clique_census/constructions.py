@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, log2
 
+from .errors import _require_int
 from .graph import Graph
 
 def path_power(n: int, k: int) -> Graph:
@@ -248,8 +249,10 @@ def lower_bound_constant(k: int) -> LowerBoundReport:
     The graph K_{2,...,2} on k parts has 3^k cliques and no subdivision
     of the complete graph on t = floor(3k/2) + 1 vertices, so the best
     possible per-t exponent is at least k*log2(3)/t, approaching
-    (2/3)*log2(3) from below as k grows.
+    (2/3)*log2(3) from below as k grows.  A k that is not an int, a bool
+    included, raises TypeError.
     """
+    _require_int("k", k)
     if k < 1:
         raise ValueError("lower_bound_constant needs k >= 1")
     t = (3 * k) // 2 + 1

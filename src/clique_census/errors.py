@@ -1,13 +1,21 @@
-"""Exception types shared across the package, and the default vertex
-limits past which the exhaustive searches raise OracleLimitError.
+"""Exception types shared across the package, the default vertex limits
+past which the exhaustive searches raise OracleLimitError, and the int
+check on count arguments.
 
-The limits live here, with the error they lead to, so the CLI can show
-them in its help without importing the searches.
+These live here, with the errors they lead to, so the CLI and the
+construction generators can use them without importing the searches.
 """
 
 DEFAULT_SUBDIVISION_LIMIT = 16
 DEFAULT_MINOR_LIMIT = 14
 DEFAULT_EXHAUSTIVE_LIMIT = 22
+
+
+def _require_int(name: str, value) -> None:
+    """TypeError naming the parameter unless value is an int; a bool is
+    an int, but not a count."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {value!r}")
 
 
 class CliqueCensusError(Exception):
@@ -22,17 +30,6 @@ class GraphParseError(CliqueCensusError):
             message = f"line {line_no}: {message}"
         super().__init__(message)
         self.line_no = line_no
-
-
-class CapacityError(CliqueCensusError):
-    """A materialized structure outgrew its node cap.
-
-    partial_count is the number of nodes created before the cap was hit.
-    """
-
-    def __init__(self, message, partial_count):
-        super().__init__(message)
-        self.partial_count = partial_count
 
 
 class OracleLimitError(CliqueCensusError):

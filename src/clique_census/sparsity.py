@@ -10,9 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DEFAULT_EXHAUSTIVE_LIMIT, OracleLimitError
+from .errors import DEFAULT_EXHAUSTIVE_LIMIT, OracleLimitError, _require_int
 from .graph import Graph, degeneracy, mask_vertices, rows
-from .subdivision import _require_int
 from .tree import _forward_sets
 
 
@@ -25,7 +24,8 @@ def _as_fraction(x) -> Fraction:
 @dataclass(frozen=True)
 class SparsityParams:
     """Threshold pair: degree ratio beta (rational, at most 1) and minimum
-    subset size n_threshold (positive integer)."""
+    subset size n_threshold (positive integer; anything but an int, a bool
+    included, raises TypeError)."""
 
     beta: Fraction
     n_threshold: int
@@ -34,6 +34,7 @@ class SparsityParams:
         object.__setattr__(self, "beta", _as_fraction(self.beta))
         if self.beta > 1:
             raise ValueError("beta must be at most 1")
+        _require_int("n_threshold", self.n_threshold)
         if self.n_threshold < 1:
             raise ValueError("n_threshold must be at least 1")
 

@@ -29,6 +29,7 @@ from .errors import (
     DEFAULT_SUBDIVISION_LIMIT,
     ExtractionError,
     OracleLimitError,
+    _require_int,
 )
 from .graph import DegeneracyResult, Graph, degeneracy, mask_vertices, rows
 
@@ -205,8 +206,9 @@ def elimination_certificate(
     clique when it is eliminated, and that set, less its earliest member,
     is handed to the earliest member.  It stops at the first set larger
     than t-2; each vertex hands on at most t-3 vertices, so the pass costs
-    O(m + n t) after the peel.
+    O(m + n t) after the peel.  A t that is not an int raises TypeError.
     """
+    _require_int("t", t)
     if t < 1:
         return False
     if peel is None:
@@ -235,13 +237,6 @@ def elimination_certificate(
             else:
                 fill[first] = later
     return True
-
-
-def _require_int(name: str, value) -> None:
-    """TypeError naming the parameter unless value is an int; a bool is
-    an int, but not a count."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an int, got {value!r}")
 
 
 def _exhaustive(g: Graph, t: int, oracle_limit: int, what: str, wrap, search):

@@ -40,10 +40,10 @@ the census kernel's co-matching leaf with no pairs; at a root child the
 shared K_k rows from _local_graphs already say so. enumerate_cliques
 expands a block clique by clique, and the CLI builds its text a label
 id at a time, without visiting its cliques (cli._block_pieces).
-build_tree materializes the node structure for inspection, subject to
-a node cap, and descends on the rows of the whole graph, one node per
-clique, which makes it an independent check of the local descents, the
-blocks and the pivot census.
+build_tree materializes the node structure for inspection, one node
+per clique, and descends on the rows of the whole graph, which makes it
+an independent check of the local descents, the blocks and the pivot
+census.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from . import backend as _backend
-from .errors import CapacityError
 from .graph import (
     Graph,
     degeneracy,
@@ -64,8 +63,6 @@ from .graph import (
 
 # perfbench/layers.py times the peel by replacing `degeneracy` in this
 # module, so the root split calls it through its module-level name.
-
-DEFAULT_NODE_CAP = 10_000_000
 
 
 class CliqueTreeNode:
@@ -109,45 +106,10 @@ class CliqueSearchTree:
         self.graph = graph
         self.root = root
         self.nodes = nodes
-        self._subtree_sizes: dict[int, int] | None = None
 
     @property
     def node_count(self) -> int:
         return len(self.nodes)
-
-    def depth_of(self, node: CliqueTreeNode) -> int:
-        return node.depth - self.root.depth
-
-    def height(self) -> int:
-        return max(self.depth_of(node) for node in self.nodes)
-
-    def census_counts(self) -> list[int]:
-        counts = [0] * (self.height() + 1)
-        for node in self.nodes:
-            counts[self.depth_of(node)] += 1
-        return counts
-
-    def subtree_sizes(self) -> dict[int, int]:
-        """Node count of the subtree below each node, keyed by node index."""
-        if self._subtree_sizes is None:
-            sizes = {node.index: 1 for node in self.nodes}
-            for node in reversed(self.nodes):
-                if node is not self.root and node.parent is not None:
-                    sizes[node.parent.index] += sizes[node.index]
-            self._subtree_sizes = sizes
-        return self._subtree_sizes
-
-    def discard(self) -> None:
-        """Empty every node's child list; the tree is unusable afterwards.
-
-        Parent and child links form reference cycles, which only a full
-        pass of the cyclic garbage collector reclaims. Breaking them lets
-        the nodes go as soon as the last reference to the tree does, so
-        a caller done with a large tree gets its memory back at once.
-        Re-rooted views share the nodes and are emptied too.
-        """
-        for node in self.nodes:
-            node.children.clear()
 
 
 @lru_cache(maxsize=64)  # bounded: the rows of K_k take k^2 bits
@@ -216,42 +178,29 @@ def _label_children(bits, label: int) -> Iterator[tuple[int, int]]:
         label ^= 1 << v
 
 
-def build_tree(g: Graph, node_cap: int = DEFAULT_NODE_CAP) -> CliqueSearchTree:
+def build_tree(g: Graph) -> CliqueSearchTree:
     """Materialize the clique search tree of g, in depth-first creation order.
 
     Node indices are preorder positions, so a node's subtree occupies a
-    contiguous index range. Raises CapacityError (with the partial node
-    count) once the tree would exceed node_cap nodes.
+    contiguous index range. The root's children come from the peel; below
+    them the min-degree descent runs on the rows of the whole graph.
     """
     root = CliqueTreeNode(g.full_mask(), 0, None, None, 0)
     nodes = [root]
-
-    def attach(parent: CliqueTreeNode, v: int, child_bits: int) -> CliqueTreeNode:
-        if len(nodes) >= node_cap:
-            CliqueSearchTree(g, root, nodes).discard()
-            raise CapacityError(
-                f"clique tree exceeds node cap {node_cap}", partial_count=len(nodes)
-            )
-        child = CliqueTreeNode(child_bits, parent.depth + 1, v, parent, len(nodes))
-        parent.children.append(child)
-        nodes.append(child)
-        return child
-
     bits = rows(g)
+
+    def grow(parent: CliqueTreeNode, children) -> None:
+        # the recursion is as deep as the largest clique, and a tree
+        # holding a k-clique has at least 2^k nodes
+        for v, label in children:
+            child = CliqueTreeNode(label, parent.depth + 1, v, parent, len(nodes))
+            parent.children.append(child)
+            nodes.append(child)
+            grow(child, _label_children(bits, label))
+
     order = degeneracy(g).ordering
     forward = _forward_sets(g, order)
-    for v in order:
-        label = sum(1 << u for u in forward[v])
-        top = attach(root, v, label)
-        stack: list[tuple[CliqueTreeNode, int]] = [(top, label)]
-        while stack:
-            node, remaining = stack.pop()
-            if remaining == 0:
-                continue
-            v = min_degree_in(bits, remaining)
-            child = attach(node, v, remaining & bits[v])
-            stack.append((node, remaining ^ (1 << v)))
-            stack.append((child, child.label_bits))
+    grow(root, ((v, sum(1 << u for u in forward[v])) for v in order))
     return CliqueSearchTree(g, root, nodes)
 
 

@@ -2,11 +2,12 @@
 
 The oracles work from the edge list alone and avoid the package's
 search-tree machinery, so agreement is meaningful. The search-tree
-helpers at the end (re-rooting, rooted subtrees, the counting-through-a-
-subtree bound and tree isomorphism) work on trees from build_tree; the
-tests use them to check the paper's subtree property. The audit's
-real-valued bounds are decided last, with Fractions and integer powers
-only.
+helpers at the end (per-depth counts, subtree sizes, re-rooting, rooted
+subtrees, the counting-through-a-subtree bound and tree isomorphism)
+work on trees from build_tree; the tests use them to check the paper's
+subtree property and to read the audit's skeleton against the tree. The
+audit's real-valued bounds are decided last, with Fractions and integer
+powers only.
 """
 
 from fractions import Fraction
@@ -287,6 +288,32 @@ def is_valid_minor_model(g, parts, t):
     )
 
 
+def depth_of(tree: CliqueSearchTree, node: CliqueTreeNode) -> int:
+    """node's depth below the tree's root, which may be a re-rooted view's."""
+    return node.depth - tree.root.depth
+
+
+def height(tree: CliqueSearchTree) -> int:
+    return max(depth_of(tree, node) for node in tree.nodes)
+
+
+def census_counts(tree: CliqueSearchTree) -> list[int]:
+    """Node count at each depth below the root."""
+    counts = [0] * (height(tree) + 1)
+    for node in tree.nodes:
+        counts[depth_of(tree, node)] += 1
+    return counts
+
+
+def subtree_sizes(tree: CliqueSearchTree) -> dict[int, int]:
+    """Node count of the subtree below each node, keyed by node index."""
+    sizes = {node.index: 1 for node in tree.nodes}
+    for node in reversed(tree.nodes):
+        if node is not tree.root:
+            sizes[node.parent.index] += sizes[node.index]
+    return sizes
+
+
 def contains(tree: CliqueSearchTree, node: CliqueTreeNode) -> bool:
     i = node.index - tree.root.index
     return 0 <= i < len(tree.nodes) and tree.nodes[i] is node
@@ -300,9 +327,12 @@ def subtree_at(tree: CliqueSearchTree, node: CliqueTreeNode) -> CliqueSearchTree
     """
     if not contains(tree, node):
         raise ValueError("node does not belong to this tree")
-    size = tree.subtree_sizes()[node.index]
+    # in preorder the subtree runs until the next node no deeper than it
     start = node.index - tree.root.index
-    return CliqueSearchTree(tree.graph, node, tree.nodes[start:start + size])
+    end = start + 1
+    while end < len(tree.nodes) and tree.nodes[end].depth > node.depth:
+        end += 1
+    return CliqueSearchTree(tree.graph, node, tree.nodes[start:end])
 
 
 class RootedSubtree:
@@ -343,6 +373,22 @@ class RootedSubtree:
 
     def excluded_children(self, node: CliqueTreeNode) -> list[CliqueTreeNode]:
         return [c for c in node.children if c.index not in self.included]
+
+
+def skeleton_included(skeleton) -> frozenset[int]:
+    """Preorder indices of an audit Skeleton's nodes."""
+    return frozenset(node.index for node in skeleton.nodes)
+
+
+def child_indices(node) -> list[int]:
+    """Preorder indices of an audit SkeletonNode's children: each follows
+    its earlier siblings' subtrees."""
+    out = []
+    index = node.index + 1
+    for size in node.child_sizes:
+        out.append(index)
+        index += size
+    return out
 
 
 class BoundCheck(NamedTuple):

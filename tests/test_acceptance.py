@@ -40,6 +40,7 @@ from clique_census import (
 from brute import (
     RootedSubtree,
     brute_census,
+    census_counts,
     find_minor_alt,
     is_valid_minor_model,
     subtree_at,
@@ -120,7 +121,7 @@ def test_search_tree_structural_invariants():
 
         # per-size counts are the per-depth node counts, and they sum to
         # the node total
-        assert tree.census_counts() == list(counts.counts)
+        assert census_counts(tree) == list(counts.counts)
         assert counts.total == tree.node_count
 
         # a sampled node's subtree is the search tree of its label graph

@@ -828,6 +828,8 @@ def test_output_flag_writes_file(capsys, tmp_path):
 
 
 def test_module_entry_point():
+    # -m puts the working directory on sys.path, so the child imports this
+    # checkout's package whether or not PYTHONPATH names it
     proc = subprocess.run(
         [
             sys.executable,
@@ -839,6 +841,7 @@ def test_module_entry_point():
         ],
         capture_output=True,
         text=True,
+        cwd=Path(__file__).resolve().parent.parent / "src",
     )
     assert proc.returncode == 0
     assert proc.stdout == "144\n"

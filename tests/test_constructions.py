@@ -278,6 +278,13 @@ def test_lower_bound_spot_values():
         lower_bound_constant(0)
 
 
+@pytest.mark.parametrize("k", [2.5, 2.0, True])
+def test_lower_bound_refuses_a_k_that_is_not_an_int(k):
+    # 2.5 used to give t = 4.0, and True the k = 1 report
+    with pytest.raises(TypeError, match=f"^k must be an int, got {k!r}$"):
+        lower_bound_constant(k)
+
+
 def test_lower_bound_monotone_toward_limit():
     limit = (2 / 3) * math.log2(3)
     prev = 0.0

@@ -1,5 +1,6 @@
 """Local sparsity certificates and parameter derivations."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -70,6 +71,13 @@ def test_params_refuse_a_t_that_is_not_an_int(t):
         lemma_sparsity_params(10, t)
     with pytest.raises(TypeError, match=f"^t must be an int, got {t!r}$"):
         generalized_sparsity_params(10, t, Fraction(1, 10), Fraction(1, 2))
+
+
+@pytest.mark.parametrize("n", [2.5, True, Fraction(3)])
+def test_params_refuse_an_n_threshold_that_is_not_an_int(n):
+    # 2.5 used to reach the certificate JSON as "N": 2.5, and True acted as 1
+    with pytest.raises(TypeError, match=re.escape(f"n_threshold must be an int, got {n!r}")):
+        SparsityParams(Fraction(1, 2), n)
 
 
 @pytest.mark.parametrize("m", [4.5, True])

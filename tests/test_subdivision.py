@@ -1,6 +1,7 @@
 """Subdivision and minor oracles, witness checking, dense extraction."""
 
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -541,3 +542,11 @@ def test_certificate_never_holds_on_complete_or_at_t0():
         assert not elimination_certificate(complete(t), t)
     for g in (Graph(0, []), Graph(1, []), path_power(30, 2), petersen()):
         assert not elimination_certificate(g, 0)
+
+
+@pytest.mark.parametrize("t", [4.0, 3.5, True, Fraction(4)])
+def test_certificate_refuses_a_t_that_is_not_an_int(t):
+    # 4.0 used to hold and 3.5 to fail on path_power(6, 2), where the
+    # oracles raise TypeError on the same t
+    with pytest.raises(TypeError, match=re.escape(f"t must be an int, got {t!r}")):
+        elimination_certificate(path_power(6, 2), t)

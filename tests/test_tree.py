@@ -1,6 +1,5 @@
 """Clique search tree structure, counting, and enumeration."""
 
-import gc
 import os
 import random
 import subprocess
@@ -11,7 +10,6 @@ from hypothesis import given, settings
 
 import clique_census
 from clique_census import (
-    CapacityError,
     Graph,
     build_tree,
     census,
@@ -29,9 +27,12 @@ from brute import (
     RootedSubtree,
     brute_census,
     brute_cliques,
+    census_counts,
     extension_census,
+    height,
     subtree_at,
     subtree_bound_check,
+    subtree_sizes,
     trees_isomorphic,
 )
 from strategies import WORD_EDGE_SIZES, graphs, hub_path_with_leaves, word_edge_graphs
@@ -44,7 +45,7 @@ def k(n):
 def test_k3_has_eight_nodes():
     tree = build_tree(k(3))
     assert tree.node_count == 8
-    assert tree.height() == 3
+    assert height(tree) == 3
 
 
 def test_empty_graph():
@@ -56,7 +57,7 @@ def test_empty_graph():
 
 def test_preorder_indices_contiguous():
     tree = build_tree(k(4))
-    sizes = tree.subtree_sizes()
+    sizes = subtree_sizes(tree)
     for node in tree.nodes:
         assert tree.nodes[node.index] is node
         last = node.index + sizes[node.index] - 1
@@ -75,9 +76,9 @@ def test_census_matches_brute_force(g):
 def test_count_matches_tree_node_count(g):
     tree = build_tree(g)
     assert tree.node_count == count_cliques(g)
-    assert list(tree.census_counts()) == list(census(g).counts)
+    assert list(census_counts(tree)) == list(census(g).counts)
     # the pivot kernel on the whole graph, without the root split
-    assert census_of_subset(rows(g), g.full_mask()) == tree.census_counts()
+    assert census_of_subset(rows(g), g.full_mask()) == census_counts(tree)
 
 
 @given(graphs(max_n=8))
@@ -177,13 +178,6 @@ def test_subtree_at_rejects_foreign_node():
         subtree_at(a, b.nodes[1])
 
 
-def test_node_cap():
-    with pytest.raises(CapacityError) as err:
-        build_tree(k(10), node_cap=100)
-    assert err.value.partial_count == 100
-    assert build_tree(k(10), node_cap=1024).node_count == 1024
-
-
 def random_rooted_subtree(tree, rng):
     included = {tree.root.index}
     queue = [tree.root]
@@ -268,7 +262,7 @@ def test_root_split_at_word_edges(n):
             assert list(census(g, threads=threads).counts) == expected
         assert count_cliques(g) == sum(expected)
         tree = build_tree(g)
-        assert tree.census_counts() == expected
+        assert census_counts(tree) == expected
         assert census_of_subset(rows(g), g.full_mask()) == expected
         _assert_public_enumeration(g, tree)
         # root children follow the peel; each label is the later neighbours
@@ -371,8 +365,7 @@ def test_census_where_degree_order_is_far_from_the_peel(path_len):
     expected = extension_census(g)
     assert list(census(g).counts) == expected
     tree = build_tree(g)
-    assert tree.census_counts() == expected
-    tree.discard()
+    assert census_counts(tree) == expected
 
 
 def test_enumerate_with_isolated_vertices():
@@ -413,32 +406,3 @@ def test_root_split_memory_stays_linear():
     )
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) <= 600 * 1024
-
-
-@pytest.mark.parametrize("discard", [False, True])
-def test_discard_frees_nodes_without_the_cycle_collector(discard):
-    gc.collect()
-    gc.disable()
-    try:
-        tree = build_tree(k(8))
-        if discard:
-            tree.discard()
-            assert all(node.children == [] for node in tree.nodes)
-        del tree
-        unreachable = gc.collect()
-    finally:
-        gc.enable()
-    # 256 nodes and their child lists otherwise wait for the collector
-    assert (unreachable == 0) == discard
-
-
-def test_capacity_error_frees_partial_tree():
-    gc.collect()
-    gc.disable()
-    try:
-        with pytest.raises(CapacityError):
-            build_tree(k(10), node_cap=100)
-        unreachable = gc.collect()
-    finally:
-        gc.enable()
-    assert unreachable == 0
