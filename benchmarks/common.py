@@ -14,6 +14,9 @@ A script declares three things and hands them to `compare`:
   graph) and prints them.
 - its check: check(case, row, parent) -> (what it checks, whether it
   holds), applied to each side's row against the parent's row.
+- optionally, its summary: summary(rows) -> a JSON object of figures
+  drawn from all the rows, such as a growth exponent, which is printed
+  after the rows and written to the file.
 
 `compare` parses `--parent REV` and `--out PATH`, unpacks `src/` of
 revision REV (export_src), and runs every case with those sources
@@ -131,7 +134,7 @@ def run_child(code: str, src: Path, case: dict, repeats: int) -> dict:
 
 
 def compare(argv, *, script: str, doc: str, out: str, what: str, cases, child: str,
-            check, repeats: int) -> int:
+            check, repeats: int, summary=None) -> int:
     """Run the cases of `script` (its __file__) with the parent's sources
     and this checkout's, print and write the rows (to out under the repo
     root unless --out names a path); return the script's exit code."""
@@ -159,12 +162,15 @@ def compare(argv, *, script: str, doc: str, out: str, what: str, cases, child: s
                 print(f"{side:6s} {name:30s} {medians} (of {repeats} runs) "
                       f"peak {row['peak_rss_mb']:.0f} MB" + ("" if ok else "  CHECK FAILED"))
 
+    figures = summary(rows) if summary else None
+    for key, value in (figures or {}).items():
+        print(f"{key}: {value}")
     command = f"python3 benchmarks/{Path(script).name} --parent {args.parent}"
-    return write_report(args.out, what, command, parent_sha, rows, problems)
+    return write_report(args.out, what, command, parent_sha, rows, problems, figures)
 
 
 def write_report(path: str, what: str, command: str, parent_sha: str,
-                 rows: list[dict], problems: list[str]) -> int:
+                 rows: list[dict], problems: list[str], summary: dict | None = None) -> int:
     """Write the rows with the revisions and the machine to path, print
     each problem to stderr; return the script's exit code."""
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True,
@@ -180,6 +186,7 @@ def write_report(path: str, what: str, command: str, parent_sha: str,
         "machine": {"python": platform.python_version(), "cpus": os.cpu_count(),
                     "processor": platform.machine()},
         "checks_passed": not problems,
+        **({"summary": summary} if summary else {}),
         "rows": rows,
     }
     with open(path, "w", encoding="utf-8") as fh:

@@ -58,7 +58,9 @@ def random_gnp(n: int, p, seed: int = 0) -> Graph:
 
     Uses random.Random(seed), whose random() stream is stable across
     Python releases, so a (n, p, seed) triple pins the graph exactly.
+    The seed must be an int (TypeError otherwise).
     """
+    _require_int("seed", seed)
     if n < 0:
         raise ValueError("random_gnp needs n >= 0")
     if not 0 <= p <= 1:

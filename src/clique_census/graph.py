@@ -2,12 +2,16 @@
 
 A graph stores its adjacency once, as one frozenset of neighbours per
 vertex, so it takes O(n + m) memory. Graph(n, pairs) is the one place that
-drops duplicate edges and counts them: the readers hand it the pairs as
-read. The census kernel and the min-degree descents read bit rows instead
-(Python ints, so there is no width cap). rows(g, vertices) builds them for
-the whole graph or for one vertex set, such as a dense window; the local
-graphs of a root split get theirs from the forward sets in
-tree._local_graphs, which equal rows(g, ids). Vertices are always
+drops duplicate edges and counts them: it appends each pair to both
+vertices' lists, and each frozenset drops the repeats. parse_graph reads a
+text in the canonical form, the one serialize writes, in bulk and hands
+Graph the two id streams; any other text, and any canonical text at
+fault, goes through its line scan, which names every error. The census
+kernel and the min-degree descents read bit rows instead (Python ints,
+so there is no width cap). rows(g, vertices) builds them for the whole
+graph or for one vertex set, such as a dense window; the local graphs of
+a root split get theirs from the forward sets in tree._local_graphs,
+which equal rows(g, ids). Vertices are always
 addressed by id; induced subgraphs and their rows relabel to 0..k-1
 preserving the relative order of the surviving ids, which keeps
 min-degree tie-breaking consistent between a graph and its subgraphs.
@@ -19,7 +23,7 @@ import heapq
 import re
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .errors import GraphParseError
+from .errors import GraphParseError, _require_int
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -31,26 +35,25 @@ class Graph:
     __slots__ = ("n", "adj", "_edge_count")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        _require_int("n", n)
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         self.n = n
-        neigh: list = [set() for _ in range(n)]
-        count = 0
+        neigh: list = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if v not in neigh[u]:
-                neigh[u].add(v)
-                neigh[v].add(u)
-                count += 1
-        # replace each set as its frozenset is made, so the build never
-        # holds two copies of the adjacency
+            neigh[u].append(v)
+            neigh[v].append(u)
+        # each frozenset drops its vertex's duplicate edges; replace each
+        # list as its frozenset is made, so the build never holds two
+        # copies of the adjacency
         for v, s in enumerate(neigh):
             neigh[v] = frozenset(s)
         self.adj: tuple[frozenset[int], ...] = tuple(neigh)
-        self._edge_count = count
+        self._edge_count = sum(map(len, neigh)) // 2
 
     @property
     def edge_count(self) -> int:
@@ -83,13 +86,35 @@ class Graph:
         return f"Graph(n={self.n}, m={self._edge_count})"
 
 
+# the form serialize and the edge-list writers produce: a header and one
+# line per edge, each two runs of ASCII digits, one space and "\n"
+_CANONICAL = re.compile(r"(?:[0-9]+ [0-9]+\n)+")
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list format: header "n m", then one "u v" line per edge.
 
     Lines starting with '#' are comments. Duplicate edge lines (in either
     orientation) collapse to one edge; the declared m must equal the count
     after deduplication, or the error names the header's line.
+
+    A text in the canonical form, every line two runs of ASCII digits
+    split by one space and ended by "\n" (what serialize writes), is read
+    in bulk: one split and one int conversion of all its tokens. Any
+    other text, and a canonical one whose ids, self-loops or edge count
+    are at fault, is read line by line, and that scan raises every
+    GraphParseError with its line number.
     """
+    if _CANONICAL.fullmatch(text):
+        try:
+            numbers = list(map(int, text.split()))
+            g = Graph(numbers[0], zip(numbers[2::2], numbers[3::2]))
+        except ValueError:
+            pass  # an id out of range, a self-loop or a token past int's digit limit
+        else:
+            if g.edge_count == numbers[1]:
+                return g
+    # any other text, or a canonical one at fault: the line scan names the line
     header: tuple[int, int, int] | None = None  # n, m and the line number
     edges: list[tuple[int, int]] = []
     n = 0

@@ -86,8 +86,10 @@ def check_local_sparsity(
     Peeling mode checks only the vertex sets arising along a min-degree
     peeling order; it is one-sided, reporting either a concrete violation
     or "unknown". Any violation witness is itself a qualifying subset.
-    Raises ValueError for a negative exhaustive_limit.
+    Raises TypeError for an exhaustive_limit that is not an int and
+    ValueError for a negative one.
     """
+    _require_int("exhaustive_limit", exhaustive_limit)
     if exhaustive_limit < 0:
         raise ValueError("exhaustive_limit must be non-negative")
     beta, threshold = params.beta, params.n_threshold

@@ -23,6 +23,7 @@ import census_kernel  # noqa: E402
 import cold_start  # noqa: E402
 import common  # noqa: E402
 import enumerate_blocks  # noqa: E402
+import load_graph  # noqa: E402
 import root_split  # noqa: E402
 
 # (script, committed file, row fields, case)
@@ -42,6 +43,9 @@ SMALL = [
     (cold_start, "BENCH_cold_start.json",
      {"operation": "cli count", "graph": "gnp(300,1/30)"},
      {"operation": "count", "n": 300, "p": 1 / 30}),
+    *[(load_graph, "BENCH_load_graph.json",
+       {"n": 300, "graph": load_graph.GRAPHS[family].format(n=300)},
+       {"family": family, "n": 300}) for family in load_graph.GRAPHS],
 ]
 
 
@@ -79,3 +83,15 @@ def test_compare_writes_a_report(tmp_path):
         (side, op) for op in root_split.OPERATIONS[:2] for side in ("parent", "change")]
     assert {tuple(r) for r in report["rows"]} == {
         tuple(json.loads((ROOT / "BENCH_root_split.json").read_text())["rows"][0])}
+
+
+def test_load_graph_summary_is_the_log_log_slope():
+    # linear parent rows and quadratic change rows on every family
+    rows = [{"side": side, "graph": name.format(n=n), "n": n,
+             "median_s": 1e-6 * n ** power, "steady_median_s": 3e-6 * n ** power}
+            for side, power in (("parent", 1), ("change", 2))
+            for name in load_graph.GRAPHS.values() for n in load_graph.SIZES]
+    assert load_graph.summary(rows) == {
+        f"{side} {family} {key} slope": power
+        for side, power in (("parent", 1), ("change", 2)) for family in load_graph.GRAPHS
+        for key in ("median_s", "steady_median_s")}

@@ -109,6 +109,20 @@ def test_gnp_seeded_determinism():
     assert count_cliques(a) == brute_count(a)
 
 
+@pytest.mark.parametrize("seed", [1.5, 1.0, True, "1"])
+def test_gnp_refuses_a_seed_that_is_not_an_int(seed):
+    # 1.5 used to seed random.Random like any hashable value
+    with pytest.raises(TypeError, match=f"^seed must be an int, got {seed!r}$"):
+        random_gnp(5, Fraction(1, 2), seed=seed)
+
+
+@pytest.mark.parametrize("n", [True, False])
+def test_complete_refuses_a_bool(n):
+    # complete(True) used to be a one-vertex graph with census (1, 1)
+    with pytest.raises(TypeError, match=f"^n must be an int, got {n!r}$"):
+        complete(n)
+
+
 def test_gnp_edge_probabilities():
     assert random_gnp(6, 0).edges() == []
     assert random_gnp(6, 1).edge_count == 15

@@ -1,6 +1,7 @@
 """Graph construction, parsing, and ordering primitives."""
 
 import random
+import re
 
 import pytest
 from fractions import Fraction
@@ -21,7 +22,7 @@ from clique_census import (
     path_power,
     serialize,
 )
-from clique_census.graph import load_graph, mask_vertices, min_degree_in, rows
+from clique_census.graph import _CANONICAL, load_graph, mask_vertices, min_degree_in, rows
 
 from brute import naive_degeneracy
 from strategies import WORD_EDGE_SIZES, graphs, word_edge_graphs
@@ -68,33 +69,38 @@ def test_parse_rejects(text):
         parse_graph(text)
 
 
-@pytest.mark.parametrize(
-    "reader, text, message, line_no",
-    [
-        (parse_graph, "", 'missing header line "n m"', None),
-        (parse_graph, "3 1\n1 1", "line 2: self-loop at vertex 1", 2),
-        (parse_graph, "3 1\n0 5", "line 2: vertex id out of range in '0 5'", 2),
-        (parse_graph, "3 1\n0 1 2", "line 2: expected two integers, got '0 1 2'", 2),
-        (parse_graph, "3 1\nx y", "line 2: expected two integers, got 'x y'", 2),
-        (parse_graph, "3 2\n0 1", "line 1: declared 2 edges but found 1 after deduplication", 1),
-        (parse_graph, "-1 0", "line 1: header counts must be nonnegative", 1),
-        (parse_graph, "3 3\n0 1\n1 0\n1 2",
-         "line 1: declared 3 edges but found 2 after deduplication", 1),
-        (parse_graph, "# made by hand\n\n3 2\n0 1",
-         "line 3: declared 2 edges but found 1 after deduplication", 3),
-        (parse_dimacs, "p edge 3\ne 1 2", "line 1: bad problem line 'p edge 3'", 1),
-        (parse_dimacs, "e 1 2", "line 1: edge line before problem line", 1),
-        (parse_dimacs, "p edge 3 1\ne 1 1", "line 2: self-loop at vertex 1", 2),
-        (parse_dimacs, "p edge 3 1\ne 1 9", "line 2: vertex id out of range in 'e 1 9'", 2),
-        (parse_dimacs, "z 1 2", "line 1: unrecognized line 'z 1 2'", 1),
-        (parse_dimacs, "p edge -2 0", "line 1: vertex count must be nonnegative", 1),
-        (parse_dimacs, "p edge 3 1\ne 1 2\np edge 2 0", "line 3: second problem line", 3),
-        (parse_dimacs, "p edge 3 1\ne 1 2 3", "line 2: bad edge line 'e 1 2 3'", 2),
-        (parse_dimacs, "p edge 3 1\ne 1", "line 2: bad edge line 'e 1'", 2),
-        (parse_dimacs, "p edge 3 1\ne 1 x", "line 2: bad edge line 'e 1 x'", 2),
-        (parse_dimacs, "c no problem line\n", "missing problem line", None),
-    ],
-)
+READER_ERRORS = [
+    (parse_graph, "", 'missing header line "n m"', None),
+    (parse_graph, "3 1\n1 1", "line 2: self-loop at vertex 1", 2),
+    (parse_graph, "3 1\n0 5", "line 2: vertex id out of range in '0 5'", 2),
+    (parse_graph, "3 1\n0 1 2", "line 2: expected two integers, got '0 1 2'", 2),
+    (parse_graph, "3 1\nx y", "line 2: expected two integers, got 'x y'", 2),
+    (parse_graph, "3 2\n0 1", "line 1: declared 2 edges but found 1 after deduplication", 1),
+    (parse_graph, "-1 0", "line 1: header counts must be nonnegative", 1),
+    (parse_graph, "3 3\n0 1\n1 0\n1 2",
+     "line 1: declared 3 edges but found 2 after deduplication", 1),
+    (parse_graph, "# made by hand\n\n3 2\n0 1",
+     "line 3: declared 2 edges but found 1 after deduplication", 3),
+    (parse_dimacs, "p edge 3\ne 1 2", "line 1: bad problem line 'p edge 3'", 1),
+    (parse_dimacs, "e 1 2", "line 1: edge line before problem line", 1),
+    (parse_dimacs, "p edge 3 1\ne 1 1", "line 2: self-loop at vertex 1", 2),
+    (parse_dimacs, "p edge 3 1\ne 1 9", "line 2: vertex id out of range in 'e 1 9'", 2),
+    (parse_dimacs, "z 1 2", "line 1: unrecognized line 'z 1 2'", 1),
+    (parse_dimacs, "p edge -2 0", "line 1: vertex count must be nonnegative", 1),
+    (parse_dimacs, "p edge 3 1\ne 1 2\np edge 2 0", "line 3: second problem line", 3),
+    (parse_dimacs, "p edge 3 1\ne 1 2 3", "line 2: bad edge line 'e 1 2 3'", 2),
+    (parse_dimacs, "p edge 3 1\ne 1", "line 2: bad edge line 'e 1'", 2),
+    (parse_dimacs, "p edge 3 1\ne 1 x", "line 2: bad edge line 'e 1 x'", 2),
+    (parse_dimacs, "c no problem line\n", "missing problem line", None),
+]
+# the edge-list rows with a final newline: those whose lines are all
+# "u v" take the bulk path up to the fault, and must report it alike
+READER_ERRORS += [(reader, text + "\n", message, line_no)
+                  for reader, text, message, line_no in READER_ERRORS
+                  if reader is parse_graph and text]
+
+
+@pytest.mark.parametrize("reader, text, message, line_no", READER_ERRORS)
 def test_reader_errors_are_pinned(reader, text, message, line_no):
     with pytest.raises(GraphParseError) as info:
         reader(text)
@@ -231,6 +237,62 @@ def test_serialize_roundtrip(g):
     assert parse_graph(serialize(g)) == g
 
 
+# a comment line sends any text to parse_graph's line scan
+SCAN = "# c\n"
+
+
+@st.composite
+def edge_list_texts(draw, graph, m=None):
+    """Canonical-form text of graph: every edge on at least one line, in
+    either orientation, some lines repeated, ids with leading zeros, in
+    any order, under the header "n m" (m the graph's unless given)."""
+    def number(v):
+        return "0" * draw(st.integers(0, 2)) + str(v)
+
+    lines = graph.edges()
+    if lines:
+        lines += draw(st.lists(st.sampled_from(lines), max_size=5))
+    lines = [(v, u) if draw(st.booleans()) else (u, v) for u, v in draw(st.permutations(lines))]
+    header = (graph.n, graph.edge_count if m is None else m)
+    return "".join(f"{number(a)} {number(b)}\n" for a, b in [header, *lines])
+
+
+def parse_error(text):
+    with pytest.raises(GraphParseError) as info:
+        parse_graph(text)
+    return info.value
+
+
+@given(st.data(), graphs())
+def test_bulk_and_line_scan_read_the_same_graph(data, g):
+    text = data.draw(edge_list_texts(g))
+    assert _CANONICAL.fullmatch(text)
+    assert parse_graph(text) == parse_graph(SCAN + text) == g
+
+
+@given(st.data(), graphs(min_n=1),
+       st.sampled_from(["out of range", "self-loop", "declared m", "no vertices"]))
+def test_bulk_and_line_scan_report_a_fault_alike(data, g, fault):
+    if fault == "declared m":
+        text = data.draw(edge_list_texts(g, m=data.draw(
+            st.integers(0, 50).filter(lambda m: m != g.edge_count))))
+    else:
+        text = data.draw(edge_list_texts(g))
+        lines = text.splitlines(keepends=True)
+        u = data.draw(st.integers(0, g.n - 1))
+        bad = {"out of range": f"{u} {g.n + data.draw(st.integers(0, 3))}\n",
+               "self-loop": f"{u} {u}\n",
+               "no vertices": "0 1\n"}[fault]
+        if fault == "no vertices":
+            lines[0] = f"0 {data.draw(st.integers(0, 3))}\n"
+        at = data.draw(st.integers(1, len(lines)))
+        text = "".join(lines[:at] + [bad] + lines[at:])
+    assert _CANONICAL.fullmatch(text)
+    bulk, scan = parse_error(text), parse_error(SCAN + text)
+    assert scan.line_no == bulk.line_no + 1
+    assert str(bulk).split(": ", 1)[1] == str(scan).split(": ", 1)[1]
+
+
 def test_graph_rejects_bad_edges():
     with pytest.raises(ValueError):
         Graph(3, [(0, 3)])
@@ -238,6 +300,13 @@ def test_graph_rejects_bad_edges():
         Graph(3, [(1, 1)])
     with pytest.raises(ValueError):
         Graph(-1, [])
+
+
+@pytest.mark.parametrize("n", [True, False, 3.0, Fraction(3), "3"])
+def test_graph_refuses_a_vertex_count_that_is_not_an_int(n):
+    # Graph(True, []) used to serialize as "True 0", which parse_graph refuses
+    with pytest.raises(TypeError, match=f"^n must be an int, got {re.escape(repr(n))}$"):
+        Graph(n, [])
 
 
 def test_graph_deduplicates():

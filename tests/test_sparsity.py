@@ -123,6 +123,15 @@ def test_exhaustive_limit():
                                  mode=mode, exhaustive_limit=-1)
 
 
+@pytest.mark.parametrize("limit", [2.5, True, Fraction(22)])
+@pytest.mark.parametrize("mode", ["exhaustive", "peeling"])
+def test_exhaustive_limit_refuses_a_value_that_is_not_an_int(limit, mode):
+    # 2.5 used to be reported as "limited to 2.5 vertices"
+    with pytest.raises(TypeError, match=re.escape(f"exhaustive_limit must be an int, got {limit!r}")):
+        check_local_sparsity(Graph(3, []), SparsityParams(Fraction(1, 2), 2),
+                             mode=mode, exhaustive_limit=limit)
+
+
 def test_bad_mode():
     with pytest.raises(ValueError):
         check_local_sparsity(k(3), SparsityParams(Fraction(1, 2), 2), mode="x")
