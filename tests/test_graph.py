@@ -5,7 +5,7 @@ import re
 
 import pytest
 from fractions import Fraction
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from clique_census import (
@@ -22,7 +22,7 @@ from clique_census import (
     path_power,
     serialize,
 )
-from clique_census.graph import _CANONICAL, load_graph, mask_vertices, min_degree_in, rows
+from clique_census.graph import _canonical, load_graph, mask_vertices, min_degree_in, rows
 
 from brute import naive_degeneracy
 from strategies import WORD_EDGE_SIZES, graphs, word_edge_graphs
@@ -266,7 +266,7 @@ def parse_error(text):
 @given(st.data(), graphs())
 def test_bulk_and_line_scan_read_the_same_graph(data, g):
     text = data.draw(edge_list_texts(g))
-    assert _CANONICAL.fullmatch(text)
+    assert _canonical(text)
     assert parse_graph(text) == parse_graph(SCAN + text) == g
 
 
@@ -287,10 +287,57 @@ def test_bulk_and_line_scan_report_a_fault_alike(data, g, fault):
             lines[0] = f"0 {data.draw(st.integers(0, 3))}\n"
         at = data.draw(st.integers(1, len(lines)))
         text = "".join(lines[:at] + [bad] + lines[at:])
-    assert _CANONICAL.fullmatch(text)
+    assert _canonical(text)
     bulk, scan = parse_error(text), parse_error(SCAN + text)
     assert scan.line_no == bulk.line_no + 1
     assert str(bulk).split(": ", 1)[1] == str(scan).split(": ", 1)[1]
+
+
+@pytest.mark.parametrize("text, canonical", [
+    ("3 2\n0 1\n1 2\n", True),
+    ("0 0\n", True),
+    ("007 1\n00 3\n", True),
+    ("", False),
+    ("\n", False),
+    ("3 0", False),
+    ("3 0\n\n", False),
+    ("3 1\n0 1\n\n", False),
+    (" 3 0\n", False),
+    ("3  0\n", False),
+    ("3 0 \n", False),
+    ("3 0\n 0 1\n", False),
+    ("3 1 0\n1\n", False),
+    ("3\n1 0 1\n", False),
+    ("3 1\r\n0 1\r\n", False),
+    ("3\t1\n0 1\n", False),
+    ("-3 1\n0 1\n", False),
+    ("3 1\n0 \u0661\n", False),
+    ("3 1\n0 1_0\n", False),
+    ("3 1\n0 1\n\ud800", False),
+    # the separators alternate, but a run of digits is empty
+    (" 3\n", False),
+    ("3 \n", False),
+    ("3 1\n 1\n", False),
+])
+def test_canonical_form(text, canonical):
+    assert _canonical(text) is canonical
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet="0123  \n\r\t#-x", max_size=24))
+def test_parse_graph_reads_any_text_as_its_line_scan_does(text):
+    # the line scan of SCAN + text sees text's lines one line lower
+    def read(text):
+        try:
+            return parse_graph(text)
+        except GraphParseError as err:
+            message = str(err).split(": ", 1)[-1] if err.line_no else str(err)
+            return message, err.line_no
+
+    got, scanned = read(text), read(SCAN + text)
+    if isinstance(got, tuple) and got[1] is not None:
+        scanned = (scanned[0], scanned[1] - 1)
+    assert got == scanned
 
 
 def test_graph_rejects_bad_edges():
